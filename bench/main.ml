@@ -163,7 +163,8 @@ let fig9 () =
 module Csys = Sb_ctrl.System
 module Ct = Sb_ctrl.Types
 module Eng = Sb_sim.Engine
-module Fabric = Sb_dataplane.Fabric
+module Plane = Sb_dataplane.Plane
+module Shard = Sb_dataplane.Shard
 module Packet = Sb_dataplane.Packet
 
 let nat_vnf = 7
@@ -227,8 +228,8 @@ let fig10b () =
     end;
     (* Sample per-site admitted connections every 2 s. *)
     let rng = Rng.create 5 in
-    let site_of_instance i = Fabric.instance_site (Csys.fabric sys) i in
-    let fabric_site s = Fabric.forwarder_site (Csys.fabric sys) (Csys.site_forwarder sys s) in
+    let site_of_instance i = Shard.instance_site (Csys.shard sys) i in
+    let fabric_site s = Shard.forwarder_site (Csys.shard sys) (Csys.site_forwarder sys s) in
     let conns_site = [| 0; 0 |] in
     let samples = ref [] in
     for step = 1 to 200 do
@@ -238,12 +239,12 @@ let fig10b () =
       | Ok trace ->
         List.iter
           (fun i ->
-            if Fabric.instance_vnf (Csys.fabric sys) i = nat_vnf then begin
+            if Shard.instance_vnf (Csys.shard sys) i = nat_vnf then begin
               if site_of_instance i = fabric_site 0 then
                 conns_site.(0) <- conns_site.(0) + 1
               else conns_site.(1) <- conns_site.(1) + 1
             end)
-          (Fabric.instances_in_trace trace)
+          (Shard.instances_in_trace trace)
       | Error _ -> ());
       if step mod 20 = 0 then begin
         let tput s = Float.min (0.5 *. float_of_int conns_site.(s)) 10. in
@@ -322,7 +323,7 @@ let table2 () =
   (* Verify traffic actually flows from the new edge. *)
   match Csys.probe_chain sys ~chain ~ingress_site:2 (Packet.random_tuple (Rng.create 1)) with
   | Ok _ -> print_endline "probe from the new edge site traverses the chain: OK"
-  | Error e -> Format.printf "probe FAILED: %a@." Fabric.pp_error e
+  | Error e -> Format.printf "probe FAILED: %a@." Shard.pp_error e
 
 (* ------------------------------------------------------------------ *)
 (* Figure 11: E2E comparison vs distributed load balancing             *)
@@ -763,288 +764,6 @@ let scale () =
 (* Bechamel microbenchmarks                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The seed's list-based path fabric (tuple-keyed Hashtbl memo of assoc
-   lists, selection-scan Dijkstra), kept verbatim as the microbenchmark
-   baseline: the packed-CSR speedup is measured against it rather than
-   asserted. *)
-module Legacy_paths = struct
-  let eps = 1e-12
-
-  (* The seed's list-walking Fortz–Thorup evaluation (Convex_cost is now
-     straight-line code; the baseline keeps the original). *)
-  let segment_slopes =
-    [ (0., 1.); (1. /. 3., 3.); (2. /. 3., 10.); (0.9, 70.); (1.0, 500.); (1.1, 5000.) ]
-
-  let legacy_cost u =
-    if u < 0. then invalid_arg "Convex_cost.cost: negative utilization";
-    let rec go acc prev_bp prev_slope = function
-      | [] -> acc +. ((u -. prev_bp) *. prev_slope)
-      | (bp, slope) :: rest ->
-        if u <= bp then acc +. ((u -. prev_bp) *. prev_slope)
-        else go (acc +. ((bp -. prev_bp) *. prev_slope)) bp slope rest
-    in
-    match segment_slopes with
-    | (bp0, s0) :: rest -> go 0. bp0 s0 rest
-    | [] -> assert false
-
-  type t = {
-    topo : Topology.t;
-    dist : float array array;
-    frac_cache : (int * int, (int * float) list) Hashtbl.t;
-  }
-
-  let dijkstra topo src =
-    let n = Topology.num_nodes topo in
-    let dist = Array.make n infinity in
-    let visited = Array.make n false in
-    dist.(src) <- 0.;
-    let rec loop () =
-      let u = ref (-1) in
-      for v = 0 to n - 1 do
-        if (not visited.(v)) && dist.(v) < infinity && (!u < 0 || dist.(v) < dist.(!u)) then
-          u := v
-      done;
-      if !u >= 0 then begin
-        visited.(!u) <- true;
-        List.iter
-          (fun (l : Topology.link) ->
-            let nd = dist.(!u) +. l.Topology.delay in
-            if nd < dist.(l.Topology.dst) -. eps then dist.(l.Topology.dst) <- nd)
-          (Topology.out_links topo !u);
-        loop ()
-      end
-    in
-    loop ();
-    dist
-
-  let compute topo =
-    let n = Topology.num_nodes topo in
-    let dist = Array.init n (fun s -> dijkstra topo s) in
-    { topo; dist; frac_cache = Hashtbl.create 64 }
-
-  let compute_fractions t ~src ~dst =
-    if src = dst || t.dist.(src).(dst) = infinity then []
-    else begin
-      let topo = t.topo in
-      let n = Topology.num_nodes topo in
-      let total = t.dist.(src).(dst) in
-      let on_path u (l : Topology.link) =
-        let via = t.dist.(src).(u) +. l.Topology.delay +. t.dist.(l.Topology.dst).(dst) in
-        Float.abs (via -. total) < 1e-9
-      in
-      let order =
-        List.init n (fun v -> v)
-        |> List.filter (fun v ->
-               t.dist.(src).(v) +. t.dist.(v).(dst) -. total < 1e-9
-               && t.dist.(src).(v) < infinity
-               && t.dist.(v).(dst) < infinity)
-        |> List.sort (fun a b -> compare t.dist.(src).(a) t.dist.(src).(b))
-      in
-      let inflow = Array.make n 0. in
-      inflow.(src) <- 1.;
-      let link_flow = Hashtbl.create 16 in
-      List.iter
-        (fun u ->
-          if inflow.(u) > 0. && u <> dst then begin
-            let next = List.filter (on_path u) (Topology.out_links topo u) in
-            let share = inflow.(u) /. float_of_int (List.length next) in
-            List.iter
-              (fun (l : Topology.link) ->
-                inflow.(l.Topology.dst) <- inflow.(l.Topology.dst) +. share;
-                let cur = try Hashtbl.find link_flow l.Topology.id with Not_found -> 0. in
-                Hashtbl.replace link_flow l.Topology.id (cur +. share))
-              next
-          end)
-        order;
-      Hashtbl.fold (fun id f acc -> (id, f) :: acc) link_flow []
-      |> List.sort (fun (a, _) (b, _) -> compare a b)
-    end
-
-  let fractions t ~src ~dst =
-    match Hashtbl.find_opt t.frac_cache (src, dst) with
-    | Some f -> f
-    | None ->
-      let f = compute_fractions t ~src ~dst in
-      Hashtbl.replace t.frac_cache (src, dst) f;
-      f
-
-  let path_network_cost t loads ~src ~dst ~extra =
-    List.fold_left
-      (fun acc (link_id, frac) ->
-        let l = Topology.link t.topo link_id in
-        let before = loads.(link_id) /. l.Topology.bandwidth in
-        let after = (loads.(link_id) +. (extra *. frac)) /. l.Topology.bandwidth in
-        acc +. (legacy_cost after -. legacy_cost before))
-      0.
-      (fractions t ~src ~dst)
-end
-
-(* The seed's copy-per-probe evaluation loop, kept verbatim as the
-   baseline for the packed-arena Eval: every bisection probe builds a
-   scaled model copy, routes it from scratch and allocates a fresh load
-   state for max_alpha. Calls only public APIs, so it keeps measuring the
-   same work even as the library evolves underneath. *)
-module Legacy_eval = struct
-  module Load_state = Sb_core.Load_state
-
-  (* The seed's SB-DP solver loop: the public legacy [best_path] kernel
-     (generation-stamped stage-cost cache, per-call DP tables) driving the
-     seed's Hashtbl-accumulating path_headroom, committing into a fresh
-     model-derived load state per solve. *)
-  let path_headroom state chain nodes =
-    let m = Load_state.model state in
-    let topo = Model.topology m in
-    let paths = Model.paths m in
-    let link_demand = Hashtbl.create 16 in
-    let vnf_demand = Hashtbl.create 8 in
-    let site_demand = Hashtbl.create 8 in
-    let bump tbl key amount =
-      let cur = try Hashtbl.find tbl key with Not_found -> 0. in
-      Hashtbl.replace tbl key (cur +. amount)
-    in
-    let charge_compute vnf_opt node volume =
-      match (vnf_opt, Model.site_of_node m node) with
-      | Some f, Some s ->
-        let load = Model.vnf_cpu_per_unit m f *. volume in
-        bump vnf_demand (f, s) load;
-        bump site_demand s load
-      | _ -> ()
-    in
-    for z = 0 to Array.length nodes - 2 do
-      let src = nodes.(z) and dst = nodes.(z + 1) in
-      let w = Model.fwd_traffic m ~chain ~stage:z in
-      let v = Model.rev_traffic m ~chain ~stage:z in
-      Sb_net.Paths.iter_fractions paths ~src ~dst (fun e frac ->
-          bump link_demand e (w *. frac));
-      Sb_net.Paths.iter_fractions paths ~src:dst ~dst:src (fun e frac ->
-          bump link_demand e (v *. frac));
-      let src_vnf = if z = 0 then None else Model.stage_dst_vnf m ~chain ~stage:(z - 1) in
-      charge_compute src_vnf src (w +. v);
-      charge_compute (Model.stage_dst_vnf m ~chain ~stage:z) dst (w +. v)
-    done;
-    let cap = ref infinity in
-    let consider room per_unit =
-      if per_unit > 1e-12 then cap := Float.min !cap (room /. per_unit)
-    in
-    Hashtbl.iter
-      (fun e demand ->
-        let l = Topology.link topo e in
-        let room =
-          (Model.beta m *. l.Topology.bandwidth) -. Model.background m e
-          -. Load_state.link_sb_load state e
-        in
-        consider room demand)
-      link_demand;
-    Hashtbl.iter
-      (fun (f, s) demand ->
-        consider
-          (Model.vnf_site_capacity m ~vnf:f ~site:s
-          -. Load_state.vnf_load state ~vnf:f ~site:s)
-          demand)
-      vnf_demand;
-    Hashtbl.iter
-      (fun s demand ->
-        consider (Model.site_capacity m s -. Load_state.site_load state s) demand)
-      site_demand;
-    Float.max 0. !cap
-
-  let commit state chain nodes frac =
-    for z = 0 to Array.length nodes - 2 do
-      Load_state.add_stage_flow state ~chain ~stage:z ~src:nodes.(z)
-        ~dst:nodes.(z + 1) ~frac
-    done
-
-  let chain_order ?rng m =
-    let order = Array.init (Model.num_chains m) (fun c -> c) in
-    (match rng with Some r -> Rng.shuffle r order | None -> ());
-    order
-
-  let min_split = 0.02
-
-  let route_pair state routing ~util_weight ~max_routes chain ~ingress ~egress ~share =
-    let rec go remaining routes_left =
-      if remaining > 1e-9 then
-        match Sb_core.Dp_routing.best_path ~ingress ~egress state ~util_weight ~chain with
-        | None -> ()
-        | Some nodes ->
-          let headroom =
-            if util_weight = 0. then remaining else path_headroom state chain nodes
-          in
-          let frac =
-            if routes_left <= 1 || headroom >= remaining -. 1e-9 || headroom < min_split
-            then remaining
-            else Float.min remaining headroom
-          in
-          Routing.add_path routing ~chain ~nodes ~frac;
-          commit state chain nodes frac;
-          go (remaining -. frac) (routes_left - 1)
-    in
-    go share max_routes
-
-  let route_chain state routing ~util_weight ~max_routes chain =
-    let m = Load_state.model state in
-    List.iter
-      (fun (ingress, ishare) ->
-        List.iter
-          (fun (egress, eshare) ->
-            route_pair state routing ~util_weight ~max_routes chain ~ingress ~egress
-              ~share:(ishare *. eshare))
-          (Model.chain_egresses m chain))
-      (Model.chain_ingresses m chain)
-
-  let solve ?(util_weight = Sb_core.Dp_routing.default_util_weight) ?(max_routes = 8)
-      ?rng m =
-    let state = Load_state.create m in
-    let routing = Routing.create m in
-    Array.iter
-      (fun c -> route_chain state routing ~util_weight ~max_routes c)
-      (chain_order ?rng m);
-    routing
-
-  let dp_latency ?rng m = solve ~util_weight:0. ~max_routes:1 ?rng m
-
-  let route_heuristic ?(seed = 1) m = function
-    | Eval.Anycast -> Sb_core.Greedy.anycast m
-    | Eval.Compute_aware -> Sb_core.Greedy.compute_aware m
-    | Eval.Onehop -> Sb_core.Greedy.onehop m
-    | Eval.Dp_latency -> dp_latency ~rng:(Rng.create seed) m
-    | Eval.Sb_dp -> solve ~rng:(Rng.create seed) m
-    | Eval.Sb_lp -> invalid_arg "route_heuristic: Sb_lp"
-
-  let sustains ?seed m scheme factor =
-    let scaled = Model.with_scaled_traffic m factor in
-    let r = route_heuristic ?seed scaled scheme in
-    Routing.max_alpha r >= 1. -. 1e-9
-
-  let max_load_factor ?seed ?(tol = 0.02) m scheme =
-    match scheme with
-    | Eval.Sb_lp -> (
-      match Sb_core.Lp_routing.solve m Sb_core.Lp_routing.Max_throughput with
-      | Ok { objective_value; _ } -> objective_value
-      | Error _ -> 0.)
-    | Eval.Anycast | Eval.Dp_latency ->
-      Routing.max_alpha (route_heuristic ?seed m scheme)
-    | Eval.Compute_aware | Eval.Onehop | Eval.Sb_dp ->
-      if not (sustains ?seed m scheme 1e-6) then 0.
-      else begin
-        let lo = ref 1e-6 and hi = ref 1. in
-        let guard = ref 0 in
-        while sustains ?seed m scheme !hi && !guard < 40 do
-          lo := !hi;
-          hi := !hi *. 2.;
-          incr guard
-        done;
-        if !guard >= 40 then !hi
-        else begin
-          while (!hi -. !lo) /. !hi > tol do
-            let mid = (!lo +. !hi) /. 2. in
-            if sustains ?seed m scheme mid then lo := mid else hi := mid
-          done;
-          !lo
-        end
-      end
-end
-
 (* ~100-node synthetic backbone (20 core x 4 PoPs) with a mid-size chain
    workload: the scale at which SB-DP's constant factors start to matter. *)
 let big_topo () =
@@ -1056,38 +775,8 @@ let big_model () =
   Workload.synthesize ~rng topo { Workload.default with Workload.num_chains = 128 }
 
 (* ------------------------------------------------------------------ *)
-(* Fabric packet-path kernels: seed per-call fabric vs packed plane     *)
+(* Packet-path kernels: packed plane and sharded plane                  *)
 (* ------------------------------------------------------------------ *)
-
-module Legacy_fabric = Sb_dataplane.Legacy_fabric
-
-(* Both engines keep the seed construction signatures (the packed plane
-   fronts them as [Fabric]), so one builder parameterised over a
-   first-class module gives both sides identical ids and identical RNG
-   draw sequences. *)
-module type FABRIC_BUILD = sig
-  type t
-
-  val create : ?seed:int -> ?flow_store:Fabric.flow_store -> unit -> t
-  val add_site : t -> string -> int
-  val add_forwarder : t -> site:int -> int
-  val add_edge : t -> site:int -> forwarder:int -> int
-
-  val add_vnf_instance :
-    t -> vnf:int -> site:int -> forwarder:int -> ?weight:float -> unit -> int
-
-  val install_rule :
-    t -> forwarder:int -> chain_label:int -> egress_label:int -> stage:int ->
-    (Fabric.endpoint * float) list -> unit
-
-  val install_rx_rule :
-    t -> forwarder:int -> chain_label:int -> egress_label:int -> stage:int ->
-    (Fabric.endpoint * float) list -> unit
-
-  val send_forward :
-    t -> ingress:int -> chain_label:int -> egress_label:int -> ?size:int ->
-    Packet.five_tuple -> (Fabric.endpoint list, Fabric.error) result
-end
 
 (* The sb_chaos harness topology: six sites with one forwarder and one
    edge each, VNF 0 at sites 1,2 / VNF 1 at 2,3 / VNF 2 at 4,5 (two
@@ -1103,12 +792,14 @@ let chaos_chains =
     (3, [| 0; 1; 2 |], 0, [| 1; 2; 4; 5 |]);
   ]
 
-let build_chaos_fabric (type ft) (module F : FABRIC_BUILD with type t = ft)
-    ~flow_store =
-  let fab = F.create ~seed:0x5EED ~flow_store () in
-  let site = Array.init 6 (fun s -> F.add_site fab (Printf.sprintf "site%d" s)) in
-  let fwd = Array.map (fun s -> F.add_forwarder fab ~site:s) site in
-  let edge = Array.map2 (fun s f -> F.add_edge fab ~site:s ~forwarder:f) site fwd in
+(* Built as a shard; with [lanes = 1] its lane 0 is exactly the packed
+   plane [Plane.create ~seed:0x5EED] would build, which the single-plane
+   kernels drive directly. *)
+let build_chaos_fabric ~lanes ~flow_store =
+  let fab = Shard.create ~seed:0x5EED ~flow_store ~lanes () in
+  let site = Array.init 6 (fun s -> Shard.add_site fab (Printf.sprintf "site%d" s)) in
+  let fwd = Array.map (fun s -> Shard.add_forwarder fab ~site:s) site in
+  let edge = Array.map2 (fun s f -> Shard.add_edge fab ~site:s ~forwarder:f) site fwd in
   let insts = Hashtbl.create 12 in
   List.iter
     (fun (v, sites) ->
@@ -1116,7 +807,7 @@ let build_chaos_fabric (type ft) (module F : FABRIC_BUILD with type t = ft)
         (fun s ->
           let ids =
             List.init 2 (fun _ ->
-                F.add_vnf_instance fab ~vnf:v ~site:site.(s) ~forwarder:fwd.(s) ())
+                Shard.add_vnf_instance fab ~vnf:v ~site:site.(s) ~forwarder:fwd.(s) ())
           in
           Hashtbl.replace insts (v, s) ids)
         sites)
@@ -1129,20 +820,20 @@ let build_chaos_fabric (type ft) (module F : FABRIC_BUILD with type t = ft)
         let src = if z = 0 then ingress_site else route.(z - 1) in
         let dst = route.(z) in
         let targets =
-          if z = n - 1 then [ (Fabric.Edge edge.(dst), 1.0) ]
+          if z = n - 1 then [ (Plane.Edge edge.(dst), 1.0) ]
           else
             List.map
-              (fun i -> (Fabric.Vnf_instance i, 1.0))
+              (fun i -> (Plane.Vnf_instance i, 1.0))
               (Hashtbl.find insts (vnfs.(z), dst))
         in
         if src = dst then
-          F.install_rule fab ~forwarder:fwd.(src) ~chain_label:label
+          Shard.install_rule fab ~forwarder:fwd.(src) ~chain_label:label
             ~egress_label ~stage:z targets
         else begin
-          F.install_rule fab ~forwarder:fwd.(src) ~chain_label:label
+          Shard.install_rule fab ~forwarder:fwd.(src) ~chain_label:label
             ~egress_label ~stage:z
-            [ (Fabric.Forwarder fwd.(dst), 1.0) ];
-          F.install_rx_rule fab ~forwarder:fwd.(dst) ~chain_label:label
+            [ (Plane.Forwarder fwd.(dst), 1.0) ];
+          Shard.install_rx_rule fab ~forwarder:fwd.(dst) ~chain_label:label
             ~egress_label ~stage:z targets
         end
       done)
@@ -1163,28 +854,15 @@ let chaos_tuples =
   let rng = Rng.create 21 in
   Array.init 1024 (fun _ -> Packet.random_tuple rng)
 
-let build_warm_chaos_fabric (type ft) (module F : FABRIC_BUILD with type t = ft)
-    ~flow_store =
-  let fab, entry, fwd = build_chaos_fabric (module F) ~flow_store in
+let build_warm_chaos_fabric ~lanes ~flow_store =
+  let fab, entry, fwd = build_chaos_fabric ~lanes ~flow_store in
   Array.iteri
     (fun j tp ->
       let label, ein, eg = entry.(j mod 3) in
       ignore
-        (F.send_forward fab ~ingress:ein ~chain_label:label ~egress_label:eg tp))
+        (Shard.send_forward fab ~ingress:ein ~chain_label:label ~egress_label:eg tp))
     chaos_tuples;
   (fab, entry, fwd)
-
-module Shard = Sb_dataplane.Shard
-
-(* The sharded fabric behind the common builder interface, with the lane
-   count baked in. *)
-let shard_build nlanes : (module FABRIC_BUILD with type t = Shard.t) =
-  (module struct
-    include Shard
-
-    (* [include Shard] brings in [lanes : t -> int], hence [nlanes]. *)
-    let create ?seed ?flow_store () = Shard.create ?seed ?flow_store ~lanes:nlanes ()
-  end)
 
 (* chaos_tuples split by owning chain (tuple j is warmed on chain
    entry.(j mod 3)), so a [Shard.drive_batch] call — one chain per batch —
@@ -1221,28 +899,28 @@ let micro () =
            ignore (Sb_dataplane.Flow_table.find table keys.(!i land 4095))))
   in
   let fabric_bench =
-    let fab = Fabric.create () in
-    let s = Fabric.add_site fab "A" in
-    let f = Fabric.add_forwarder fab ~site:s in
-    let ein = Fabric.add_edge fab ~site:s ~forwarder:f in
-    let eout = Fabric.add_edge fab ~site:s ~forwarder:f in
-    let v = Fabric.add_vnf_instance fab ~vnf:1 ~site:s ~forwarder:f () in
-    Fabric.install_rule fab ~forwarder:f ~chain_label:1 ~egress_label:1 ~stage:0
-      [ (Fabric.Vnf_instance v, 1.) ];
-    Fabric.install_rule fab ~forwarder:f ~chain_label:1 ~egress_label:1 ~stage:1
-      [ (Fabric.Edge eout, 1.) ];
+    let fab = Plane.create () in
+    let s = Plane.add_site fab "A" in
+    let f = Plane.add_forwarder fab ~site:s in
+    let ein = Plane.add_edge fab ~site:s ~forwarder:f in
+    let eout = Plane.add_edge fab ~site:s ~forwarder:f in
+    let v = Plane.add_vnf_instance fab ~vnf:1 ~site:s ~forwarder:f () in
+    Plane.install_rule fab ~forwarder:f ~chain_label:1 ~egress_label:1 ~stage:0
+      [ (Plane.Vnf_instance v, 1.) ];
+    Plane.install_rule fab ~forwarder:f ~chain_label:1 ~egress_label:1 ~stage:1
+      [ (Plane.Edge eout, 1.) ];
     let rng = Rng.create 4 in
     let tuples = Array.init 1024 (fun _ -> Packet.random_tuple rng) in
     (* Warm the flow table so the bench measures the fast path. *)
     Array.iter
-      (fun tp -> ignore (Fabric.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 tp))
+      (fun tp -> ignore (Plane.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 tp))
       tuples;
     let i = ref 0 in
     Test.make ~name:"fabric packet (1-VNF chain, warm flow table)"
       (Staged.stage (fun () ->
            incr i;
            ignore
-             (Fabric.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1
+             (Plane.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1
                 tuples.(!i land 1023))))
   in
   let dp_bench =
@@ -1303,11 +981,10 @@ let micro () =
            done;
            ignore (Sb_flowsim.Maxmin.solve t)))
   in
-  (* Before/after kernels of the flattened routing hot path: the legacy
-     list-based fabric vs the packed CSR one, on the ~100-node backbone. *)
+  (* Kernels of the packed-CSR routing hot path on the ~100-node
+     backbone. *)
   let big = big_topo () in
   let big_paths = Sb_net.Paths.compute big in
-  let legacy = Legacy_paths.compute big in
   let nbig = Topology.num_nodes big in
   let pairs =
     let rng = Rng.create 13 in
@@ -1316,38 +993,17 @@ let micro () =
         let dst = (src + 1 + Rng.int rng (nbig - 1)) mod nbig in
         (src, dst))
   in
-  (* Identical link loads on both sides so the kernels do the same math. *)
   let big_load = Sb_net.Load.create big big_paths in
-  let legacy_loads = Array.make (Topology.num_links big) 0. in
   let () =
     let rng = Rng.create 17 in
     for e = 0 to Topology.num_links big - 1 do
       let v = Rng.uniform_in rng 0. (0.8 *. (Topology.link big e).Topology.bandwidth) in
-      Sb_net.Load.add_background big_load e v;
-      legacy_loads.(e) <- v
-    done;
-    (* Warm the legacy memo so its kernel measures the lookup, not the
-       one-time compute (the packed side precomputes eagerly). *)
-    Array.iter (fun (src, dst) -> ignore (Legacy_paths.fractions legacy ~src ~dst)) pairs
+      Sb_net.Load.add_background big_load e v
+    done
   in
   (* Each staged run covers a 32-pair batch: the kernels are tens of ns, so
-     a single call would drown in the harness's per-run floor and flatten
-     the measured ratio. *)
+     a single call would drown in the harness's per-run floor. *)
   let batch = 32 in
-  let fractions_legacy_bench =
-    let i = ref 0 in
-    Test.make ~name:"paths_fractions x32/legacy-list"
-      (Staged.stage (fun () ->
-           let acc = ref 0. in
-           for _ = 1 to batch do
-             incr i;
-             let src, dst = pairs.(!i land 511) in
-             List.iter
-               (fun (_, f) -> acc := !acc +. f)
-               (Legacy_paths.fractions legacy ~src ~dst)
-           done;
-           ignore !acc))
-  in
   let fractions_packed_bench =
     let i = ref 0 in
     Test.make ~name:"paths_fractions x32/packed-csr"
@@ -1358,20 +1014,6 @@ let micro () =
              let src, dst = pairs.(!i land 511) in
              Sb_net.Paths.iter_fractions big_paths ~src ~dst (fun _ f ->
                  acc := !acc +. f)
-           done;
-           ignore !acc))
-  in
-  let net_cost_legacy_bench =
-    let i = ref 0 in
-    Test.make ~name:"path_network_cost x32/legacy-list"
-      (Staged.stage (fun () ->
-           let acc = ref 0. in
-           for _ = 1 to batch do
-             incr i;
-             let src, dst = pairs.(!i land 511) in
-             acc :=
-               !acc
-               +. Legacy_paths.path_network_cost legacy legacy_loads ~src ~dst ~extra:1.
            done;
            ignore !acc))
   in
@@ -1387,25 +1029,17 @@ let micro () =
            done;
            ignore !acc))
   in
-  (* Seed-vs-packed packet path on the six-site chaos topology (see
-     build_chaos_fabric): the seed engine's per-call send_forward, the
-     packed plane's shim (same signature, allocates the trace), and the
-     packed plane's allocation-free drive — each over Local and
-     Replicated-2 flow stores. Warm flow tables: every packet hits the
+  (* Packed packet path on the six-site chaos topology (see
+     build_chaos_fabric): the per-call send_forward (allocates the trace)
+     and the allocation-free drive, each over Local and Replicated-2 flow
+     stores. Warm flow tables: every packet hits the
      established-connection path, the regime packets/sec is quoted in. *)
-  let fab_seed_local, e_seed_local, _ =
-    build_warm_chaos_fabric (module Legacy_fabric) ~flow_store:Fabric.Local
+  let warm_plane flow_store =
+    let sf, entry, _ = build_warm_chaos_fabric ~lanes:1 ~flow_store in
+    (Shard.lane sf 0, entry)
   in
-  let fab_packed_local, e_packed_local, _ =
-    build_warm_chaos_fabric (module Fabric) ~flow_store:Fabric.Local
-  in
-  let fab_seed_repl, e_seed_repl, _ =
-    build_warm_chaos_fabric (module Legacy_fabric)
-      ~flow_store:(Fabric.Replicated 2)
-  in
-  let fab_packed_repl, e_packed_repl, _ =
-    build_warm_chaos_fabric (module Fabric) ~flow_store:(Fabric.Replicated 2)
-  in
+  let fab_local, e_local = warm_plane Plane.Local in
+  let fab_repl, e_repl = warm_plane (Plane.Replicated 2) in
   let fabric_kernel name send =
     let i = ref 0 in
     Test.make ~name
@@ -1415,41 +1049,25 @@ let micro () =
              send !i
            done))
   in
-  let send_arm (type ft) (module F : FABRIC_BUILD with type t = ft) fab entry i =
+  let send_arm fab entry i =
     let label, ein, eg = entry.(i mod 3) in
     ignore
-      (F.send_forward fab ~ingress:ein ~chain_label:label ~egress_label:eg
+      (Plane.send_forward fab ~ingress:ein ~chain_label:label ~egress_label:eg
          chaos_tuples.(i land 1023))
   in
   let drive_arm fab entry i =
     let label, ein, eg = entry.(i mod 3) in
     ignore
-      (Fabric.drive fab ~ingress:ein ~chain_label:label ~egress_label:eg
+      (Plane.drive fab ~ingress:ein ~chain_label:label ~egress_label:eg
          ~size:500 chaos_tuples.(i land 1023))
   in
-  let fabric_seed_local_bench =
-    fabric_kernel "fabric pkt x32/seed-local"
-      (send_arm (module Legacy_fabric) fab_seed_local e_seed_local)
-  in
-  let fabric_packed_local_bench =
-    fabric_kernel "fabric pkt x32/packed-local"
-      (send_arm (module Fabric) fab_packed_local e_packed_local)
-  in
-  let fabric_drive_local_bench =
-    fabric_kernel "fabric drive x32/packed-local"
-      (drive_arm fab_packed_local e_packed_local)
-  in
-  let fabric_seed_repl_bench =
-    fabric_kernel "fabric pkt x32/seed-repl2"
-      (send_arm (module Legacy_fabric) fab_seed_repl e_seed_repl)
-  in
-  let fabric_packed_repl_bench =
-    fabric_kernel "fabric pkt x32/packed-repl2"
-      (send_arm (module Fabric) fab_packed_repl e_packed_repl)
-  in
-  let fabric_drive_repl_bench =
-    fabric_kernel "fabric drive x32/packed-repl2"
-      (drive_arm fab_packed_repl e_packed_repl)
+  let fabric_benches =
+    [
+      fabric_kernel "fabric pkt x32/packed-local" (send_arm fab_local e_local);
+      fabric_kernel "fabric drive x32/packed-local" (drive_arm fab_local e_local);
+      fabric_kernel "fabric pkt x32/packed-repl2" (send_arm fab_repl e_repl);
+      fabric_kernel "fabric drive x32/packed-repl2" (drive_arm fab_repl e_repl);
+    ]
   in
   (* Sharded fabric: one warmed shard per lane count, reused by both the
      Bechamel batch kernels and the pps walls below. The D = 1 shard is
@@ -1460,7 +1078,7 @@ let micro () =
     Array.map
       (fun lanes ->
         let sf, entry, _ =
-          build_warm_chaos_fabric (shard_build lanes) ~flow_store:Fabric.Local
+          build_warm_chaos_fabric ~lanes ~flow_store:Plane.Local
         in
         (lanes, sf, entry))
       shard_lane_counts
@@ -1486,12 +1104,10 @@ let micro () =
     Test.make_grouped ~name:"switchboard"
       ([
          flow_table_bench; fabric_bench; dp_bench; dp_full_bench; lp_bench; lru_bench;
-         bus_bench; maxmin_bench; fractions_legacy_bench; fractions_packed_bench;
-         net_cost_legacy_bench; net_cost_packed_bench; fabric_seed_local_bench;
-         fabric_packed_local_bench; fabric_drive_local_bench; fabric_seed_repl_bench;
-         fabric_packed_repl_bench; fabric_drive_repl_bench; dp_solve_big_bench;
+         bus_bench; maxmin_bench; fractions_packed_bench; net_cost_packed_bench;
+         dp_solve_big_bench;
        ]
-      @ shard_batch_benches)
+      @ fabric_benches @ shard_batch_benches)
   in
   let ols =
     Analyze.ols ~bootstrap:0 ~r_square:false ~predictors:[| Measure.run |]
@@ -1518,19 +1134,6 @@ let micro () =
         [ n; (match e with Some v -> Printf.sprintf "%.0f" v | None -> "n/a") ])
     rows;
   Table.print t;
-  let ns name =
-    match List.assoc_opt ("switchboard/" ^ name) rows with
-    | Some (Some v) -> v
-    | _ -> nan
-  in
-  let speedup before after =
-    let b = ns before and a = ns after in
-    if Float.is_nan b || Float.is_nan a || a <= 0. then nan else b /. a
-  in
-  Printf.printf "\npath_network_cost speedup (legacy-list / packed-csr): %.1fx\n"
-    (speedup "path_network_cost x32/legacy-list" "path_network_cost x32/packed-csr");
-  Printf.printf "paths_fractions speedup (legacy-list / packed-csr): %.1fx\n"
-    (speedup "paths_fractions x32/legacy-list" "paths_fractions x32/packed-csr");
   (* Fig-level wall times: one full SB-DP solve at both scales, plus the
      all-pairs precompute on the 100-node backbone. *)
   let wall f =
@@ -1556,11 +1159,6 @@ let micro () =
     in
     Printf.fprintf oc "{\n  \"kernels_ns_per_op\": {\n%s\n  },\n"
       (String.concat ",\n" kernel_lines);
-    Printf.fprintf oc "  \"speedup\": {\n";
-    Printf.fprintf oc "    \"path_network_cost\": %.2f,\n"
-      (speedup "path_network_cost x32/legacy-list" "path_network_cost x32/packed-csr");
-    Printf.fprintf oc "    \"paths_fractions\": %.2f\n  },\n"
-      (speedup "paths_fractions x32/legacy-list" "paths_fractions x32/packed-csr");
     Printf.fprintf oc "  \"wall_seconds\": {\n";
     Printf.fprintf oc "    \"paths_compute_100_nodes\": %.4f,\n" wall_paths;
     Printf.fprintf oc "    \"dp_solve_100_nodes_128_chains\": %.4f,\n" wall_dp_big;
@@ -1568,38 +1166,18 @@ let micro () =
     close_out oc;
     print_endline "wrote BENCH_dp.json"
   end;
-  (* Before/after walls of the packed Eval arena: the seed's copy-per-probe
-     bisection (Legacy_eval, scaled model + fresh solve + fresh load state
-     per probe) vs the in-place instance-scaling arena, on the 100-node
-     backbone. The two must agree bit-for-bit — the arena changes where the
-     floats live, not what gets computed. *)
-  let eval_legacy_dp = ref nan and eval_packed_dp = ref nan in
-  let eval_legacy_ca = ref nan and eval_packed_ca = ref nan in
-  let wall_eval_legacy_dp =
-    wall (fun () -> eval_legacy_dp := Legacy_eval.max_load_factor big_m Eval.Sb_dp)
-  in
+  (* Walls of the packed Eval arena's bisection (in-place instance
+     scaling) on the 100-node backbone. *)
+  let eval_packed_dp = ref nan and eval_packed_ca = ref nan in
   let wall_eval_packed_dp =
     wall (fun () -> eval_packed_dp := Eval.max_load_factor big_m Eval.Sb_dp)
-  in
-  let wall_eval_legacy_ca =
-    wall (fun () ->
-        eval_legacy_ca := Legacy_eval.max_load_factor big_m Eval.Compute_aware)
   in
   let wall_eval_packed_ca =
     wall (fun () -> eval_packed_ca := Eval.max_load_factor big_m Eval.Compute_aware)
   in
-  let mlf_identical =
-    !eval_legacy_dp = !eval_packed_dp && !eval_legacy_ca = !eval_packed_ca
-  in
   let ratio b a = if a > 0. then b /. a else nan in
-  Printf.printf
-    "wall: eval_mlf sb-dp legacy=%.3fs packed=%.3fs (%.1fx); compute-aware \
-     legacy=%.3fs packed=%.3fs (%.1fx); identical=%b\n"
-    wall_eval_legacy_dp wall_eval_packed_dp
-    (ratio wall_eval_legacy_dp wall_eval_packed_dp)
-    wall_eval_legacy_ca wall_eval_packed_ca
-    (ratio wall_eval_legacy_ca wall_eval_packed_ca)
-    mlf_identical;
+  Printf.printf "wall: eval_mlf sb-dp=%.3fs compute-aware=%.3fs\n" wall_eval_packed_dp
+    wall_eval_packed_ca;
   (* The fig12a sweep, sequential vs fanned over domains: same cells, same
      results, wall clock divided by the grid parallelism. *)
   let fig12a_models =
@@ -1626,18 +1204,11 @@ let micro () =
   if !json_mode then begin
     let oc = open_out "BENCH_eval.json" in
     Printf.fprintf oc "{\n  \"max_load_factor_wall_seconds\": {\n";
-    Printf.fprintf oc "    \"sb_dp_legacy\": %.4f,\n" wall_eval_legacy_dp;
     Printf.fprintf oc "    \"sb_dp_packed\": %.4f,\n" wall_eval_packed_dp;
-    Printf.fprintf oc "    \"compute_aware_legacy\": %.4f,\n" wall_eval_legacy_ca;
     Printf.fprintf oc "    \"compute_aware_packed\": %.4f\n  },\n" wall_eval_packed_ca;
-    Printf.fprintf oc "  \"speedup\": {\n";
-    Printf.fprintf oc "    \"sb_dp\": %.2f,\n" (ratio wall_eval_legacy_dp wall_eval_packed_dp);
-    Printf.fprintf oc "    \"compute_aware\": %.2f\n  },\n"
-      (ratio wall_eval_legacy_ca wall_eval_packed_ca);
     Printf.fprintf oc "  \"values\": {\n";
     Printf.fprintf oc "    \"sb_dp_max_load_factor\": %.12g,\n" !eval_packed_dp;
-    Printf.fprintf oc "    \"compute_aware_max_load_factor\": %.12g,\n" !eval_packed_ca;
-    Printf.fprintf oc "    \"legacy_packed_identical\": %b\n  },\n" mlf_identical;
+    Printf.fprintf oc "    \"compute_aware_max_load_factor\": %.12g\n  },\n" !eval_packed_ca;
     Printf.fprintf oc "  \"fig12a_sweep_wall_seconds\": {\n";
     Printf.fprintf oc "    \"sequential\": %.4f,\n" wall_fig12a_seq;
     Printf.fprintf oc "    \"parallel\": %.4f,\n" wall_fig12a_par;
@@ -1646,52 +1217,33 @@ let micro () =
     close_out oc;
     print_endline "wrote BENCH_eval.json"
   end;
-  (* Packets-per-second walls on the six-site chaos topology: the seed
-     per-call engine vs the packed plane's allocation-free drive, reusing
-     the warmed fabrics the Bechamel kernels ran on. *)
+  (* Packets-per-second walls of the packed plane's allocation-free drive
+     on the six-site chaos topology, reusing the warmed planes the
+     Bechamel kernels ran on. *)
   let pps_packets = 300_000 in
-  let pps_send (type ft) (module F : FABRIC_BUILD with type t = ft) fab entry =
-    let w =
-      wall (fun () ->
-          for i = 1 to pps_packets do
-            let label, ein, eg = entry.(i mod 3) in
-            ignore
-              (F.send_forward fab ~ingress:ein ~chain_label:label
-                 ~egress_label:eg chaos_tuples.(i land 1023))
-          done)
-    in
-    float_of_int pps_packets /. w
-  in
   let pps_drive fab entry =
     let w =
       wall (fun () ->
           for i = 1 to pps_packets do
             let label, ein, eg = entry.(i mod 3) in
             ignore
-              (Fabric.drive fab ~ingress:ein ~chain_label:label ~egress_label:eg
+              (Plane.drive fab ~ingress:ein ~chain_label:label ~egress_label:eg
                  ~size:500 chaos_tuples.(i land 1023))
           done)
     in
     float_of_int pps_packets /. w
   in
-  let pps_seed_local = pps_send (module Legacy_fabric) fab_seed_local e_seed_local in
-  let pps_packed_local = pps_drive fab_packed_local e_packed_local in
-  let pps_seed_repl = pps_send (module Legacy_fabric) fab_seed_repl e_seed_repl in
-  let pps_packed_repl = pps_drive fab_packed_repl e_packed_repl in
-  Printf.printf
-    "fabric pps (six-site chaos topology): local seed=%.2fM packed=%.2fM (%.1fx); \
-     replicated-2 seed=%.2fM packed=%.2fM (%.1fx)\n"
-    (pps_seed_local /. 1e6) (pps_packed_local /. 1e6)
-    (ratio pps_packed_local pps_seed_local)
-    (pps_seed_repl /. 1e6) (pps_packed_repl /. 1e6)
-    (ratio pps_packed_repl pps_seed_repl);
+  let pps_local = pps_drive fab_local e_local in
+  let pps_repl = pps_drive fab_repl e_repl in
+  Printf.printf "fabric pps (six-site chaos topology): local=%.2fM replicated-2=%.2fM\n"
+    (pps_local /. 1e6) (pps_repl /. 1e6);
+  let has_sub s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
   if !json_mode then begin
     let oc = open_out "BENCH_fabric.json" in
-    let has_sub s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
     let kernel_lines =
       List.filter_map
         (fun (name, est) ->
@@ -1707,14 +1259,8 @@ let micro () =
     Printf.fprintf oc "  \"kernels_ns_per_op\": {\n%s\n  },\n"
       (String.concat ",\n" kernel_lines);
     Printf.fprintf oc "  \"packets_per_second\": {\n";
-    Printf.fprintf oc "    \"seed_local\": %.0f,\n" pps_seed_local;
-    Printf.fprintf oc "    \"packed_local\": %.0f,\n" pps_packed_local;
-    Printf.fprintf oc "    \"seed_replicated2\": %.0f,\n" pps_seed_repl;
-    Printf.fprintf oc "    \"packed_replicated2\": %.0f\n  },\n" pps_packed_repl;
-    Printf.fprintf oc "  \"speedup\": {\n";
-    Printf.fprintf oc "    \"local\": %.2f,\n" (ratio pps_packed_local pps_seed_local);
-    Printf.fprintf oc "    \"replicated2\": %.2f\n  }\n}\n"
-      (ratio pps_packed_repl pps_seed_repl);
+    Printf.fprintf oc "    \"packed_local\": %.0f,\n" pps_local;
+    Printf.fprintf oc "    \"packed_replicated2\": %.0f\n  }\n}\n" pps_repl;
     close_out oc;
     print_endline "wrote BENCH_fabric.json"
   end;
@@ -1762,7 +1308,7 @@ let micro () =
                   (fun (c, tp) ->
                     let label, ein, eg = entry.(c) in
                     ignore
-                      (Fabric.drive plane ~ingress:ein ~chain_label:label
+                      (Plane.drive plane ~ingress:ein ~chain_label:label
                          ~egress_label:eg ~size:500 tp))
                   part
               done)
@@ -1797,9 +1343,10 @@ let micro () =
      outgrows cache' effect, here as a pps-vs-load-factor curve. *)
   let sweep_points = [| 100_000; 300_000; 1_000_000; 3_000_000; 10_000_000 |] in
   let sweep_seed = 0xACC in
-  let sweep_fab, sweep_entry, sweep_fwd =
-    build_chaos_fabric (module Fabric) ~flow_store:Fabric.Local
+  let sweep_shard, sweep_entry, sweep_fwd =
+    build_chaos_fabric ~lanes:1 ~flow_store:Plane.Local
   in
+  let sweep_fab = Shard.lane sweep_shard 0 in
   let sweep_gen = Rng.create sweep_seed in
   let inserted = ref 0 in
   let sweep_rows =
@@ -1809,14 +1356,14 @@ let micro () =
           let tp = Packet.random_tuple sweep_gen in
           let label, ein, eg = sweep_entry.(!inserted mod 3) in
           ignore
-            (Fabric.drive sweep_fab ~ingress:ein ~chain_label:label
+            (Plane.drive sweep_fab ~ingress:ein ~chain_label:label
                ~egress_label:eg ~size:500 tp);
           incr inserted
         done;
         let entries = ref 0 and cap = ref 0 and probe = ref 0 in
         Array.iter
           (fun f ->
-            let c, k, p = Fabric.flow_table_stats sweep_fab ~forwarder:f in
+            let c, k, p = Plane.flow_table_stats sweep_fab ~forwarder:f in
             entries := !entries + c;
             cap := !cap + k;
             probe := max !probe p)
@@ -1842,7 +1389,7 @@ let micro () =
                 for i = 0 to !filled - 1 do
                   let (label, ein, eg), tp = sample.(i) in
                   ignore
-                    (Fabric.drive sweep_fab ~ingress:ein ~chain_label:label
+                    (Plane.drive sweep_fab ~ingress:ein ~chain_label:label
                        ~egress_label:eg ~size:500 tp)
                 done
               done)
@@ -1882,11 +1429,6 @@ let micro () =
        on whatever cores exist; capacity = per-lane isolated rates summed \
        (each lane drains its own RSS partition inline on its private \
        plane), i.e. the throughput of one pinned core per lane\",\n";
-    let has_sub s sub =
-      let n = String.length s and m = String.length sub in
-      let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-      go 0
-    in
     let kernel_lines =
       List.filter_map
         (fun (name, est) ->

@@ -10,7 +10,7 @@
 module S = Sb_ctrl.System
 module T = Sb_ctrl.Types
 module E = Sb_sim.Engine
-module Fabric = Sb_dataplane.Fabric
+module Shard = Sb_dataplane.Shard
 module Packet = Sb_dataplane.Packet
 
 let firewall = 9
@@ -43,7 +43,7 @@ let () =
   let flow = Packet.random_tuple (Sb_util.Rng.create 7) in
   (match S.probe_chain sys ~chain flow with
   | Ok _ -> Format.printf "traffic flows from the office: OK@."
-  | Error e -> Format.printf "office probe failed: %a@." Fabric.pp_error e);
+  | Error e -> Format.printf "office probe failed: %a@." Shard.pp_error e);
 
   (* The user moves to the cafe. Its edge site is not on the chain route,
      so the first packet triggers the on-demand extension. *)
@@ -62,5 +62,5 @@ let () =
   | Ok trace ->
     Format.printf "@.traffic from the cafe traverses VNFs %s: same chain, new location@."
       (String.concat ", "
-         (List.map string_of_int (Fabric.vnfs_in_trace (S.fabric sys) trace)))
-  | Error e -> Format.printf "cafe probe failed: %a@." Fabric.pp_error e
+         (List.map string_of_int (Shard.vnfs_in_trace (S.shard sys) trace)))
+  | Error e -> Format.printf "cafe probe failed: %a@." Shard.pp_error e

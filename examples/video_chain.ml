@@ -12,7 +12,7 @@
 module S = Sb_ctrl.System
 module T = Sb_ctrl.Types
 module E = Sb_sim.Engine
-module Fabric = Sb_dataplane.Fabric
+module Shard = Sb_dataplane.Shard
 module Packet = Sb_dataplane.Packet
 
 let face_blur = 42
@@ -48,8 +48,8 @@ let () =
   (match S.probe_chain sys ~chain:default_chain stream with
   | Ok trace ->
     Format.printf "before activation: video visits %d VNFs (raw stream, faces visible)@."
-      (List.length (Fabric.vnfs_in_trace (S.fabric sys) trace))
-  | Error e -> Format.printf "probe failed: %a@." Fabric.pp_error e);
+      (List.length (Shard.vnfs_in_trace (S.shard sys) trace))
+  | Error e -> Format.printf "probe failed: %a@." Shard.pp_error e);
 
   (* Phase 2: the customer activates the face-blur chain from the portal. *)
   let t0 = E.now (S.engine sys) in
@@ -71,21 +71,21 @@ let () =
   | Ok trace ->
     Format.printf "after activation: video traverses VNFs %s (faces blurred)@."
       (String.concat ", "
-         (List.map string_of_int (Fabric.vnfs_in_trace (S.fabric sys) trace)));
+         (List.map string_of_int (Shard.vnfs_in_trace (S.shard sys) trace)));
     (* End-to-end latency: 2 WAN crossings plus processing. *)
     Format.printf "added path latency: ~%.0f ms WAN transit per direction@."
       (1000. *. (delay 0 1 *. 2.))
-  | Error e -> Format.printf "probe failed: %a@." Fabric.pp_error e);
+  | Error e -> Format.printf "probe failed: %a@." Shard.pp_error e);
 
   (* Replies from the laptop return through the same instance (symmetric
      return), which the stateful blur function requires. *)
   match
-    Fabric.send_reverse (S.fabric sys)
+    Shard.send_reverse (S.shard sys)
       ~egress:(Option.get (S.site_edge sys 0))
       ~chain_label:blur_chain ~egress_label:0 stream
   with
   | Ok trace ->
     Format.printf "reverse path traverses VNFs %s (symmetric return holds)@."
       (String.concat ", "
-         (List.map string_of_int (Fabric.vnfs_in_trace (S.fabric sys) trace)))
-  | Error e -> Format.printf "reverse probe failed: %a@." Fabric.pp_error e
+         (List.map string_of_int (Shard.vnfs_in_trace (S.shard sys) trace)))
+  | Error e -> Format.printf "reverse probe failed: %a@." Shard.pp_error e

@@ -12,7 +12,7 @@ module System = Sb_ctrl.System
 module Ct = Sb_ctrl.Types
 module Model = Sb_core.Model
 module Greedy = Sb_core.Greedy
-module Fabric = Sb_dataplane.Fabric
+module Plane = Sb_dataplane.Plane
 module Topology = Sb_net.Topology
 
 (* ----------------------------- local view ---------------------------- *)
@@ -215,7 +215,7 @@ module Agent = struct
     prev_pkts : int array array;
         (* per chain, per element position p (index p-1): cumulative
            packets delivered into that element at this site *)
-    installed : (int * int * bool, (Fabric.endpoint * float) list) Hashtbl.t;
+    installed : (int * int * bool, (Plane.endpoint * float) list) Hashtbl.t;
     mutable adverts_sent : int;
     mutable moves : int;
   }
@@ -304,9 +304,9 @@ module Agent = struct
       let e = t.egress.(chain) in
       if e = t.site then
         match System.site_edge t.sys e with
-        | Some edge -> [ (Fabric.Edge edge, 1.0) ]
-        | None -> [ (Fabric.Forwarder (System.site_forwarder t.sys e), 1.0) ]
-      else [ (Fabric.Forwarder (System.site_forwarder t.sys e), 1.0) ]
+        | Some edge -> [ (Plane.Edge edge, 1.0) ]
+        | None -> [ (Plane.Forwarder (System.site_forwarder t.sys e), 1.0) ]
+      else [ (Plane.Forwarder (System.site_forwarder t.sys e), 1.0) ]
     end
     else begin
       let v = vnfs.(stage) in
@@ -316,12 +316,12 @@ module Agent = struct
       let s' = site_of_exn m node in
       if s' = t.site then
         match System.site_vnf_instances t.sys ~site:s' ~vnf:v with
-        | [] -> [ (Fabric.Forwarder (System.site_forwarder t.sys s'), 1.0) ]
-        | insts -> List.map (fun (id, w) -> (Fabric.Vnf_instance id, w)) insts
+        | [] -> [ (Plane.Forwarder (System.site_forwarder t.sys s'), 1.0) ]
+        | insts -> List.map (fun (id, w) -> (Plane.Vnf_instance id, w)) insts
       else
         match fwd_weights t.view ~site:s' ~vnf:v with
-        | Some ws -> List.map (fun (f, w) -> (Fabric.Forwarder f, w)) ws
-        | None -> [ (Fabric.Forwarder (System.site_forwarder t.sys s'), 1.0) ]
+        | Some ws -> List.map (fun (f, w) -> (Plane.Forwarder f, w)) ws
+        | None -> [ (Plane.Forwarder (System.site_forwarder t.sys s'), 1.0) ]
     end
 
   (* One decision tick: age the view to [epoch], recompute every owned
@@ -353,11 +353,11 @@ module Agent = struct
             if rx then
               if stage = nl then
                 match System.site_edge t.sys t.site with
-                | Some edge -> [ (Fabric.Edge edge, 1.0) ]
+                | Some edge -> [ (Plane.Edge edge, 1.0) ]
                 | None -> []
               else
                 List.map
-                  (fun (id, w) -> (Fabric.Vnf_instance id, w))
+                  (fun (id, w) -> (Plane.Vnf_instance id, w))
                   (System.site_vnf_instances t.sys ~site:t.site ~vnf:vnfs.(stage))
             else stage_targets t ~chain:c ~stage
           in
@@ -368,7 +368,7 @@ module Agent = struct
               if not rx then incr changed;
               patches :=
                 {
-                  Fabric.rp_chain = t.ids.(c);
+                  Plane.rp_chain = t.ids.(c);
                   rp_egress = t.egress.(c);
                   rp_stage = stage;
                   rp_rx = rx;

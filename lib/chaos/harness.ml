@@ -90,7 +90,7 @@ let run ?(epoch_len = default_epoch_len) ?(event_budget = 2_000_000) ?(lanes = 1
   let seed = sched.Schedule.seed in
   let sys =
     System.create ~seed:(seed + 1) ~retry_interval:0.4
-      ~flow_store:(Sb_dataplane.Fabric.Replicated 2) ~lanes ~num_sites ~delay
+      ~flow_store:(Sb_dataplane.Plane.Replicated 2) ~lanes ~num_sites ~delay
       ~gsb_site ()
   in
   let eng = System.engine sys in

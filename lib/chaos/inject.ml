@@ -1,7 +1,7 @@
 module Engine = Sb_sim.Engine
 module Bus = Sb_msgbus.Bus
 module System = Sb_ctrl.System
-module Fabric = Sb_dataplane.Fabric
+module Shard = Sb_dataplane.Shard
 module Rng = Sb_util.Rng
 
 (* Topics whose loss the control plane is engineered to absorb: 2PC
@@ -23,7 +23,8 @@ let is_telemetry topic =
 let arm ~sys ?store ?observe ~rng (sched : Schedule.t) =
   let eng = System.engine sys in
   let bus = System.bus sys in
-  let fabric = System.fabric sys in
+  (* Forwarder deaths go through the shard so every lane sees them. *)
+  let shard = System.shard sys in
   let t0 = Engine.now eng in
   (* Process deaths: deterministic timed events. *)
   List.iter
@@ -34,17 +35,17 @@ let arm ~sys ?store ?observe ~rng (sched : Schedule.t) =
         let fwds () = System.site_forwarders sys site in
         ignore
           (Engine.schedule_at eng ~time:(t0 +. start) (fun () ->
-               List.iter (Fabric.fail_forwarder fabric) (fwds ())));
+               List.iter (Shard.fail_forwarder shard) (fwds ())));
         ignore
           (Engine.schedule_at eng ~time:(t0 +. stop) (fun () ->
-               List.iter (Fabric.revive_forwarder fabric) (fwds ())))
+               List.iter (Shard.revive_forwarder shard) (fwds ())))
       | Schedule.Forwarder_crash { site; _ } ->
         ignore
           (Engine.schedule_at eng ~time:(t0 +. start) (fun () ->
-               Fabric.fail_forwarder fabric (System.site_forwarder sys site)));
+               Shard.fail_forwarder shard (System.site_forwarder sys site)));
         ignore
           (Engine.schedule_at eng ~time:(t0 +. stop) (fun () ->
-               Fabric.revive_forwarder fabric (System.site_forwarder sys site)))
+               Shard.revive_forwarder shard (System.site_forwarder sys site)))
       | Schedule.Gsb_failover _ ->
         ignore
           (Engine.schedule_at eng ~time:(t0 +. start) (fun () ->

@@ -1,7 +1,7 @@
 module Bus = Sb_msgbus.Bus
 module Engine = Sb_sim.Engine
-module Fabric = Sb_dataplane.Fabric
 module DP = Sb_dataplane.Shard
+module Plane = Sb_dataplane.Plane
 open Types
 
 let broadcast_topic = "/chains"
@@ -102,9 +102,9 @@ type local_sb = {
   ls_instance_info : (int * int * int, (int * float) list) Hashtbl.t;
   (* (chain, vnf, site) -> instances *)
   ls_fwd_info : (int * int * int, (int * float) list) Hashtbl.t;
-  ls_installed : (int * int * int, (Fabric.endpoint * float) list) Hashtbl.t;
+  ls_installed : (int * int * int, (Plane.endpoint * float) list) Hashtbl.t;
   (* (chain, egress, stage) -> last installed rule *)
-  ls_installed_rx : (int * int * int, (Fabric.endpoint * float) list) Hashtbl.t;
+  ls_installed_rx : (int * int * int, (Plane.endpoint * float) list) Hashtbl.t;
   (* (chain, egress, stage) -> last installed receiver-side rule *)
   ls_published_weight : (int * int, float) Hashtbl.t; (* (chain, vnf) -> weight *)
   ls_subscribed : (string, unit) Hashtbl.t;
@@ -183,9 +183,7 @@ let set_logging t enabled = t.log_enabled <- enabled
 
 let engine t = t.eng
 let bus t = t.bus
-let fabric t = DP.lane t.fabric 0
 let shard t = t.fabric
-let lanes t = DP.lanes t.fabric
 let site_forwarder t s = List.hd t.sites.(s).forwarders
 let site_forwarders t s = t.sites.(s).forwarders
 let site_edge t s = t.sites.(s).edge
@@ -238,16 +236,16 @@ let compute_stage_rule t ls (lc : local_chain) stage =
         | Some ((_ :: _) as insts) ->
           List.iter
             (fun (i, w) ->
-              add (Fabric.Vnf_instance i) (weight *. w);
-              add_rx (Fabric.Vnf_instance i) (weight *. w))
+              add (Plane.Vnf_instance i) (weight *. w);
+              add_rx (Plane.Vnf_instance i) (weight *. w))
             insts
         | Some [] | None -> missing := true
       in
       let local_egress () =
         match t.sites.(ls.ls_site).edge with
         | Some e ->
-          add (Fabric.Edge e) weight;
-          add_rx (Fabric.Edge e) weight
+          add (Plane.Edge e) weight;
+          add_rx (Plane.Edge e) weight
         | None -> missing := true
       in
       if s_z = ls.ls_site then begin
@@ -259,12 +257,12 @@ let compute_stage_rule t ls (lc : local_chain) stage =
              share over the forwarders the next VNF's site published, each
              weighted by its attached-instance weight (Section 5.2). *)
           if next_vnf = -2 then
-            add (Fabric.Forwarder (List.hd t.sites.(s_z1).forwarders)) weight
+            add (Plane.Forwarder (List.hd t.sites.(s_z1).forwarders)) weight
           else
             match Hashtbl.find_opt ls.ls_fwd_info (lc.lc_id, next_vnf, s_z1) with
             | Some ((_ :: _) as fwds) ->
               List.iter
-                (fun (f, w) -> add (Fabric.Forwarder f) (weight *. Float.max w 1e-9))
+                (fun (f, w) -> add (Plane.Forwarder f) (weight *. Float.max w 1e-9))
                 fwds
             | Some [] | None -> missing := true
         end
@@ -322,11 +320,11 @@ let try_install t ls (lc : local_chain) =
     let patches =
       List.concat_map
         (fun (stage, rule, rx) ->
-          { Fabric.rp_chain = lc.lc_id; rp_egress = egress; rp_stage = stage;
+          { Plane.rp_chain = lc.lc_id; rp_egress = egress; rp_stage = stage;
             rp_rx = false; rp_targets = rule }
           :: (match rx with
              | Some r ->
-               [ { Fabric.rp_chain = lc.lc_id; rp_egress = egress; rp_stage = stage;
+               [ { Plane.rp_chain = lc.lc_id; rp_egress = egress; rp_stage = stage;
                    rp_rx = true; rp_targets = r } ]
              | None -> []))
         changed
@@ -1146,7 +1144,7 @@ let add_edge_site t ~chain ~site =
           ignore
             (Engine.schedule t.eng ~delay:t.install_latency (fun () ->
                  let rule =
-                   List.map (fun (f, w) -> (Fabric.Forwarder f, Float.max w 1.)) forwarders
+                   List.map (fun (f, w) -> (Plane.Forwarder f, Float.max w 1.)) forwarders
                  in
                  List.iter
                    (fun forwarder ->
@@ -1232,7 +1230,7 @@ let scale_vnf_instances t ~vnf ~site ~count =
 
 let probe_chain t ~chain ?ingress_site tuple =
   match Hashtbl.find_opt t.chains chain with
-  | None -> Error Fabric.Not_an_edge
+  | None -> Error Plane.Not_an_edge
   | Some cs -> (
     let site =
       match ingress_site with
@@ -1243,7 +1241,7 @@ let probe_chain t ~chain ?ingress_site tuple =
     | Some edge, Some egress ->
       DP.send_forward t.fabric ~ingress:edge ~chain_label:chain ~egress_label:egress
         tuple
-    | _ -> Error Fabric.Not_an_edge)
+    | _ -> Error Plane.Not_an_edge)
 
 let chain_measurements t ~chain =
   match Hashtbl.find_opt t.chains chain with

@@ -37,7 +37,7 @@ val create :
   ?egress_rate:float ->
   ?bus_bandwidth:float ->
   ?retry_interval:float ->
-  ?flow_store:Sb_dataplane.Fabric.flow_store ->
+  ?flow_store:Sb_dataplane.Plane.flow_store ->
   ?lanes:int ->
   ?rollout:rollout ->
   num_sites:int ->
@@ -51,11 +51,11 @@ val create :
     500 ms) is the 2PC retransmission period: the coordinator re-sends
     Prepares to unvoted participants and Commit/Abort decisions to
     un-acked ones, making chain transactions tolerate wide-area message
-    loss. [flow_store] selects the fabric's connection-state store
-    (default {!Sb_dataplane.Fabric.Local}). [lanes] (default 1) shards
+    loss. [flow_store] selects the data plane's connection-state store
+    (default {!Sb_dataplane.Plane.Local}). [lanes] (default 1) shards
     the data plane across that many per-domain lanes
     ({!Sb_dataplane.Shard}); with 1 lane the data plane is bit-identical
-    to an unsharded {!Sb_dataplane.Fabric}. [bus_bandwidth] (bytes/s),
+    to an unsharded {!Sb_dataplane.Plane}. [bus_bandwidth] (bytes/s),
     when given, makes bus egress serialization proportional to each
     message's modeled wire size ({!Types.msg_size}) instead of the flat
     per-message [egress_rate]. The bus prices every publish with
@@ -75,17 +75,10 @@ val compile_stats : t -> Compile.stats
 val engine : t -> Sb_sim.Engine.t
 val bus : t -> Types.msg Sb_msgbus.Bus.t
 
-val fabric : t -> Sb_dataplane.Fabric.t
-(** Lane 0 of the data plane — the exact, whole data plane when [lanes]
-    is 1 (the default), a single lane's partition otherwise. Callers that
-    must see every lane (probes, counters) under [lanes > 1] go through
-    {!shard}. *)
-
 val shard : t -> Sb_dataplane.Shard.t
-(** The sharded data plane itself; counters and flow-table read-outs on it
-    aggregate across lanes. *)
-
-val lanes : t -> int
+(** The data plane: control calls on it (fail, revive, rule installs,
+    weights) are mirrored to every lane, and counters and flow-table
+    read-outs aggregate across lanes. *)
 
 val site_flow_table_stats : t -> site:int -> int * int * int
 (** [(count, capacity, max_probe)] summed over the site's forwarders and
@@ -167,7 +160,7 @@ val add_edge_site : t -> chain:int -> site:int -> unit
     first VNF's forwarder configures the return side. Steps are logged. *)
 
 val probe_chain : t -> chain:int -> ?ingress_site:int -> Sb_dataplane.Packet.five_tuple ->
-  (Sb_dataplane.Fabric.endpoint list, Sb_dataplane.Fabric.error) result
+  (Sb_dataplane.Plane.endpoint list, Sb_dataplane.Plane.error) result
 (** Send a packet through the chain's data plane from its (or the given)
     ingress site's edge, as a liveness/timeline probe. *)
 
@@ -308,7 +301,7 @@ val txns_in_flight : t -> int
     quiesced — the precondition for the 2PC-atomicity invariant check. *)
 
 val site_installed_rules :
-  t -> site:int -> ((int * int * int) * (Sb_dataplane.Fabric.endpoint * float) list) list
+  t -> site:int -> ((int * int * int) * (Sb_dataplane.Plane.endpoint * float) list) list
 (** The rules a site's Local Switchboard has installed (or scheduled for
     install), keyed [(chain, egress, stage)], sorted. *)
 
@@ -346,7 +339,7 @@ val site_stage_packets : t -> site:int -> chain:int -> egress:int -> stage:int -
     {!site_chain_measurements} it takes the egress label explicitly, so it
     works at sites whose Local Switchboard never learned the chain. *)
 
-val apply_site_patches : t -> site:int -> Sb_dataplane.Fabric.rule_patch list -> unit
+val apply_site_patches : t -> site:int -> Sb_dataplane.Plane.rule_patch list -> unit
 (** Apply a batch of rule patches to every forwarder of the site after the
     data-plane [install_latency] — the local install path a per-site
     decision process uses in place of the Local Switchboard's

@@ -1,13 +1,13 @@
 (** The seed fabric implementation (hashtables of boxed keys, one record
     per packet hop), preserved verbatim as the behavioural oracle for the
     packed data plane: the equivalence property in [test_dataplane.ml]
-    drives identical traffic and churn through this module and {!Fabric}
-    (= {!Plane}) and asserts identical traces, errors, flow-table sizes
-    and counters; the [fabric] benchmark kernel uses it as the before-side
-    of the packets-per-second comparison.
+    drives identical traffic and churn through this module and {!Plane}
+    and asserts identical traces, errors, flow-table sizes and counters.
+    Nothing outside that test uses it.
 
-    The API and per-function semantics are exactly {!Fabric}'s — see that
-    module for documentation. Types are equated with {!Plane}'s so results
+    The API and per-function semantics are exactly {!Plane}'s — see that
+    module for documentation (error messages keep the seed's [Fabric]
+    prefix). Types are equated with {!Plane}'s so results
     from the two implementations compare directly. *)
 
 type t

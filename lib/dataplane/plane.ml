@@ -1,5 +1,5 @@
-(* The compiled (packed) dataplane: the Fabric contract over id-dense flat
-   arrays instead of hashtables of boxed keys.
+(* The compiled (packed) dataplane: the Section 5 forwarder contract over
+   id-dense flat arrays instead of hashtables of boxed keys.
 
    Layout (see DESIGN.md §11):
    - entities share one id counter; per-kind attribute arrays are indexed
@@ -701,10 +701,10 @@ let fresh t =
 let kind_of t id = if id >= 0 && id < Array.length t.kind then t.kind.(id) else 0
 
 let get_fd t id =
-  if kind_of t id = k_fwd then t.f_dense.(id) else invalid_arg "Fabric: unknown forwarder"
+  if kind_of t id = k_fwd then t.f_dense.(id) else invalid_arg "Plane: unknown forwarder"
 
 let check_inst t id =
-  if kind_of t id <> k_inst then invalid_arg "Fabric: unknown VNF instance"
+  if kind_of t id <> k_inst then invalid_arg "Plane: unknown VNF instance"
 
 let add_site t name =
   let id = fresh t in
@@ -713,7 +713,7 @@ let add_site t name =
   id
 
 let add_forwarder t ~site =
-  if kind_of t site <> k_site then invalid_arg "Fabric.add_forwarder: unknown site";
+  if kind_of t site <> k_site then invalid_arg "Plane.add_forwarder: unknown site";
   let id = fresh t in
   t.kind.(id) <- k_fwd;
   let fd = t.nf in
@@ -806,7 +806,7 @@ let revive_instance t id =
 let forwarder_site t id = t.f_site.(get_fd t id)
 
 let site_name t id =
-  if kind_of t id = k_site then t.site_name.(id) else invalid_arg "Fabric: unknown site"
+  if kind_of t id = k_site then t.site_name.(id) else invalid_arg "Plane: unknown site"
 
 let attached_instances t ~forwarder = t.f_insts.(get_fd t forwarder)
 
@@ -846,7 +846,7 @@ let revive_forwarder t id =
 
 let reattach_edge t edge ~forwarder =
   ignore (get_fd t forwarder);
-  if kind_of t edge <> k_edge then invalid_arg "Fabric.reattach_edge: unknown edge";
+  if kind_of t edge <> k_edge then invalid_arg "Plane.reattach_edge: unknown edge";
   t.e_fwd.(edge) <- forwarder;
   t.journal <- t.journal + 1
 
@@ -1391,7 +1391,7 @@ let transfer_flows t ~from_instance ~to_instance =
   check_inst t from_instance;
   check_inst t to_instance;
   if t.i_vnf.(from_instance) <> t.i_vnf.(to_instance) then
-    invalid_arg "Fabric.transfer_flows: instances run different VNFs";
+    invalid_arg "Plane.transfer_flows: instances run different VNFs";
   let pf = (from_instance lsl 2) lor tag_inst in
   let pt = (to_instance lsl 2) lor tag_inst in
   let rewritten = ref 0 in

@@ -57,11 +57,13 @@ val create : ?seed:int -> ?flow_store:flow_store -> ?lanes:int -> unit -> t
 val lanes : t -> int
 
 val lane : t -> int -> Plane.t
-(** Direct access to one lane's plane. [lane t 0] of a 1-lane shard is the
-    whole dataplane — the back-compat view {!Sb_ctrl.System.fabric}
-    returns. Mutating a lane directly on a multi-lane shard breaks the
-    mirror alignment; benches use it read-mostly (per-lane capacity runs
-    drive a lane inline with that lane's own partition). *)
+(** Direct access to one lane's plane: [lane t 0] of a 1-lane shard is the
+    whole dataplane, while on a multi-lane shard each lane holds only its
+    own partition of the connections. Read lanes freely, but mutate them
+    through the mirrored entry points below: a control call (fail, revive,
+    install, weights) made on a single lane breaks the mirror alignment
+    the other lanes rely on. Benches drive a lane inline with that lane's
+    own partition to measure per-lane capacity. *)
 
 val lane_of : t -> Packet.five_tuple -> int
 (** Owning lane of a (forward-oriented) 5-tuple. *)
@@ -69,7 +71,7 @@ val lane_of : t -> Packet.five_tuple -> int
 val shutdown : t -> unit
 (** Join the worker pool (no-op for 1 lane, and idempotent). *)
 
-(** {2 Mirrored control plane} — same contracts as the {!Fabric}
+(** {2 Mirrored control plane} — same contracts as the {!Plane}
     functions of the same name; ids returned are valid on every lane. *)
 
 val add_site : t -> string -> int
@@ -202,7 +204,7 @@ val drive_batch :
     worker per lane to drain its ring against its private plane, and the
     join publishes the per-lane delivered counts. Returns the number of
     packets that reached an egress edge. With 1 lane, runs inline with no
-    pool and is bit-identical to a {!Fabric.drive} loop. *)
+    pool and is bit-identical to a {!Plane.drive} loop. *)
 
 val end_flow : t -> Packet.five_tuple -> unit
 (** Connection teardown on the owning lane (the only lane with state). *)

@@ -10,7 +10,7 @@ module Schedule = Sb_chaos.Schedule
 module Harness = Sb_chaos.Harness
 module Engine = Sb_sim.Engine
 module System = Sb_ctrl.System
-module Fabric = Sb_dataplane.Fabric
+module Shard = Sb_dataplane.Shard
 open Sb_ctrl.Types
 
 (* ------------------- schedule generation / replay ------------------- *)
@@ -102,12 +102,12 @@ let prop_no_violations =
    packets that had already been relayed once. Under the Replicated flow
    store the second relay hop collided with the first in the role-keyed
    DHT and the packet looped until TTL exhaustion. The receiver-side
-   rule ([Fabric.install_rx_rule]) pins relayed packets to local
+   rule ([Shard.install_rx_rule]) pins relayed packets to local
    delivery; this must hold for every connection. *)
 let test_no_relay_loop_when_site_is_sender_and_receiver () =
   let delay i j = if i = j then 0. else 0.02 in
   let sys =
-    System.create ~seed:5 ~flow_store:(Fabric.Replicated 2) ~num_sites:4 ~delay
+    System.create ~seed:5 ~flow_store:(Shard.Replicated 2) ~num_sites:4 ~delay
       ~gsb_site:0 ()
   in
   List.iter
@@ -143,8 +143,8 @@ let test_no_relay_loop_when_site_is_sender_and_receiver () =
     | Ok trace ->
       Alcotest.(check (list int))
         "conformant" [ 0; 1 ]
-        (Fabric.vnfs_in_trace (System.fabric sys) trace)
-    | Error e -> Alcotest.failf "probe failed: %a" Fabric.pp_error e
+        (Shard.vnfs_in_trace (System.shard sys) trace)
+    | Error e -> Alcotest.failf "probe failed: %a" Shard.pp_error e
   done
 
 (* The standard deployment and schedules over the sharded data plane:
@@ -162,6 +162,39 @@ let test_sharded_fabric_no_violations () =
             Alcotest.failf "lanes=%d seed %d: budget exhausted" lanes seed)
         [ 7; 42 ])
     [ 2; 4 ]
+
+(* A site outage kills the site's forwarders on every lane, not just on
+   lane 0, and the restart revives them on every lane. *)
+let test_site_outage_reaches_every_lane () =
+  let sys =
+    System.create ~lanes:4 ~num_sites:3 ~delay:(fun _ _ -> 0.01) ~gsb_site:0 ()
+  in
+  let sh = System.shard sys in
+  ignore (System.add_forwarder sys ~site:1);
+  let fwds = System.site_forwarders sys 1 in
+  Alcotest.(check int) "two forwarders at the site" 2 (List.length fwds);
+  let sched =
+    Schedule.of_faults ~seed:1 ~horizon:3. ~num_sites:3
+      [ Schedule.Site_outage { site = 1; start = 1.; stop = 2. } ]
+  in
+  Sb_chaos.Inject.arm ~sys ~rng:(Sb_util.Rng.create 1) sched;
+  let check_all label expected =
+    for l = 0 to Shard.lanes sh - 1 do
+      List.iter
+        (fun f ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: lane %d forwarder %d" label l f)
+            expected
+            (Sb_dataplane.Plane.forwarder_alive (Shard.lane sh l) f))
+        fwds
+    done
+  in
+  let eng = System.engine sys in
+  Engine.run_until eng 1.5;
+  check_all "inside the window" false;
+  Engine.run_until eng 2.5;
+  check_all "after the window" true;
+  Shard.shutdown sh
 
 (* ---------- decentralized arm: degradation under GSB loss ---------- *)
 
@@ -309,7 +342,6 @@ let test_anycast_invariants_lane_independent () =
 
 (* ------------- elastic placement: drain-safety invariants ------------ *)
 
-module Shard = Sb_dataplane.Shard
 module Place = Sb_adapt.Place
 
 (* A deployment the drain protocol can retract: vnf 0 split across sites
@@ -323,7 +355,7 @@ module Place = Sb_adapt.Place
 let drain_fixture () =
   let delay i j = if i = j then 0. else 0.02 in
   let sys =
-    System.create ~seed:11 ~flow_store:(Fabric.Replicated 2) ~lanes:2
+    System.create ~seed:11 ~flow_store:(Shard.Replicated 2) ~lanes:2
       ~num_sites:4 ~delay ~gsb_site:0 ()
   in
   List.iter
@@ -361,7 +393,7 @@ let drain_fixture () =
     let tu = Sb_dataplane.Packet.random_tuple rng in
     match System.probe_chain sys ~chain tu with
     | Ok trace -> if on_site2 trace then pinned2 := tu :: !pinned2
-    | Error e -> Alcotest.failf "establish probe failed: %a" Fabric.pp_error e
+    | Error e -> Alcotest.failf "establish probe failed: %a" Shard.pp_error e
   done;
   Alcotest.(check bool) "some connections pinned on site 2" true (!pinned2 <> []);
   (* Route the chain off site 2: the scale-in precondition. *)
@@ -398,7 +430,7 @@ let test_drain_retracts_safely () =
       | Ok trace ->
         Alcotest.(check bool) "established connection still served by site 2" true
           (on_site2 trace)
-      | Error e -> Alcotest.failf "established probe failed: %a" Fabric.pp_error e)
+      | Error e -> Alcotest.failf "established probe failed: %a" Shard.pp_error e)
     pinned2;
   (* ... while a brand-new connection must avoid the draining site. *)
   (match
@@ -408,7 +440,7 @@ let test_drain_retracts_safely () =
   | Ok trace ->
     Alcotest.(check bool) "new connection avoids draining site" false
       (on_site2 trace)
-  | Error e -> Alcotest.failf "new-connection probe failed: %a" Fabric.pp_error e);
+  | Error e -> Alcotest.failf "new-connection probe failed: %a" Shard.pp_error e);
   (* The site-2 connections idle out (the checker's own probes were
      refreshed at tick 5, so they survive the sweep); the next poll
      retracts. *)
@@ -462,7 +494,7 @@ let test_drain_aborts_atomically_on_gsb_death () =
       | Ok trace ->
         Alcotest.(check bool) "connection still on site 2 after abort" true
           (on_site2 trace)
-      | Error e -> Alcotest.failf "post-abort probe failed: %a" Fabric.pp_error e)
+      | Error e -> Alcotest.failf "post-abort probe failed: %a" Shard.pp_error e)
     pinned2;
   Invariant.check_epoch iv;
   Engine.run eng;
@@ -536,6 +568,8 @@ let () =
             test_no_relay_loop_when_site_is_sender_and_receiver;
           Alcotest.test_case "sharded fabric: schedules stay violation-free" `Quick
             test_sharded_fabric_no_violations;
+          Alcotest.test_case "site outage reaches every lane" `Quick
+            test_site_outage_reaches_every_lane;
         ] );
       ("search", [ QCheck_alcotest.to_alcotest prop_no_violations ]);
       ( "outage",

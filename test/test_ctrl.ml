@@ -1,7 +1,7 @@
 module S = Sb_ctrl.System
 module T = Sb_ctrl.Types
 module E = Sb_sim.Engine
-module Fabric = Sb_dataplane.Fabric
+module Shard = Sb_dataplane.Shard
 module Packet = Sb_dataplane.Packet
 
 let delay30 a b = if a = b then 0. else 0.030
@@ -51,8 +51,8 @@ let test_chain_dataplane_works () =
   match S.probe_chain sys ~chain tuple with
   | Ok trace ->
     Alcotest.(check (list int)) "conformity via control plane" [ 7 ]
-      (Fabric.vnfs_in_trace (S.fabric sys) trace)
-  | Error e -> Alcotest.failf "probe failed: %a" Fabric.pp_error e
+      (Shard.vnfs_in_trace (S.shard sys) trace)
+  | Error e -> Alcotest.failf "probe failed: %a" Shard.pp_error e
 
 let test_chain_creation_latency_sub_second () =
   let sys = build_two_sites () in
@@ -140,16 +140,16 @@ let test_existing_flows_survive_route_addition () =
   let tuple = Packet.random_tuple (Sb_util.Rng.create 2) in
   let before =
     match S.probe_chain sys ~chain tuple with
-    | Ok trace -> Fabric.instances_in_trace trace
-    | Error e -> Alcotest.failf "probe: %a" Fabric.pp_error e
+    | Ok trace -> Shard.instances_in_trace trace
+    | Error e -> Alcotest.failf "probe: %a" Shard.pp_error e
   in
   S.add_route sys ~chain { T.element_sites = [| 0; 1; 1 |]; weight = 0.5 };
   E.run (S.engine sys);
   (match S.probe_chain sys ~chain tuple with
   | Ok trace ->
     Alcotest.(check (list int)) "flow affinity across route update" before
-      (Fabric.instances_in_trace trace)
-  | Error e -> Alcotest.failf "probe after update: %a" Fabric.pp_error e);
+      (Shard.instances_in_trace trace)
+  | Error e -> Alcotest.failf "probe after update: %a" Shard.pp_error e);
   (* New connections can land on the new route's instances eventually. *)
   let rng = Sb_util.Rng.create 3 in
   let saw_site1 = ref false in
@@ -159,11 +159,11 @@ let test_existing_flows_survive_route_addition () =
       List.iter
         (fun i ->
           if
-            Fabric.instance_vnf (S.fabric sys) i = 7
-            && Fabric.forwarder_site (S.fabric sys) (S.site_forwarder sys 1)
-               = Fabric.instance_site (S.fabric sys) i
+            Shard.instance_vnf (S.shard sys) i = 7
+            && Shard.forwarder_site (S.shard sys) (S.site_forwarder sys 1)
+               = Shard.instance_site (S.shard sys) i
           then saw_site1 := true)
-        (Fabric.instances_in_trace trace)
+        (Shard.instances_in_trace trace)
     | Error _ -> ()
   done;
   Alcotest.(check bool) "new flows reach new route" true !saw_site1
@@ -181,14 +181,14 @@ let test_add_forwarder_replays_rules () =
     (List.length (S.site_forwarders sys 0));
   (* The new forwarder carries the site's rules. *)
   (match
-     Fabric.rule (S.fabric sys) ~forwarder:fwd ~chain_label:chain ~egress_label:1 ~stage:0
+     Shard.rule (S.shard sys) ~forwarder:fwd ~chain_label:chain ~egress_label:1 ~stage:0
    with
   | Some targets -> Alcotest.(check bool) "rule replayed" true (targets <> [])
   | None -> Alcotest.fail "new forwarder missing the chain rule");
   (* The data plane still works end to end. *)
   match S.probe_chain sys ~chain (Packet.random_tuple (Sb_util.Rng.create 5)) with
   | Ok _ -> ()
-  | Error e -> Alcotest.failf "probe after scale-out: %a" Fabric.pp_error e
+  | Error e -> Alcotest.failf "probe after scale-out: %a" Shard.pp_error e
 
 let test_scale_instances_rebalances_new_flows () =
   let sys = build_two_sites () in
@@ -198,10 +198,10 @@ let test_scale_instances_rebalances_new_flows () =
   let tuple = Packet.random_tuple (Sb_util.Rng.create 6) in
   let before =
     match S.probe_chain sys ~chain tuple with
-    | Ok tr -> Fabric.instances_in_trace tr
-    | Error e -> Alcotest.failf "probe: %a" Fabric.pp_error e
+    | Ok tr -> Shard.instances_in_trace tr
+    | Error e -> Alcotest.failf "probe: %a" Shard.pp_error e
   in
-  let fab = S.fabric sys in
+  let fab = S.shard sys in
   let existing_instances = Hashtbl.create 8 in
   List.iter (fun i -> Hashtbl.replace existing_instances i ()) before;
   S.scale_vnf_instances sys ~vnf:7 ~site:0 ~count:2;
@@ -210,8 +210,8 @@ let test_scale_instances_rebalances_new_flows () =
   (match S.probe_chain sys ~chain tuple with
   | Ok tr ->
     Alcotest.(check (list int)) "affinity across scaling" before
-      (Fabric.instances_in_trace tr)
-  | Error e -> Alcotest.failf "probe after scaling: %a" Fabric.pp_error e);
+      (Shard.instances_in_trace tr)
+  | Error e -> Alcotest.failf "probe after scaling: %a" Shard.pp_error e);
   (* New connections eventually use a new instance. *)
   let rng = Sb_util.Rng.create 7 in
   let saw_new = ref false in
@@ -220,9 +220,9 @@ let test_scale_instances_rebalances_new_flows () =
     | Ok tr ->
       List.iter
         (fun i ->
-          if Fabric.instance_vnf fab i = 7 && not (Hashtbl.mem existing_instances i) then
+          if Shard.instance_vnf fab i = 7 && not (Hashtbl.mem existing_instances i) then
             saw_new := true)
-        (Fabric.instances_in_trace tr)
+        (Shard.instances_in_trace tr)
     | Error _ -> ()
   done;
   Alcotest.(check bool) "new instances absorb new connections" true !saw_new
@@ -241,10 +241,10 @@ let test_instances_spread_over_forwarders () =
   E.run (S.engine sys);
   S.scale_vnf_instances sys ~vnf:7 ~site:0 ~count:4;
   E.run (S.engine sys);
-  let fab = S.fabric sys in
+  let fab = S.shard sys in
   let used =
     S.site_forwarders sys 0
-    |> List.filter (fun f -> Fabric.attached_instances fab ~forwarder:f <> [])
+    |> List.filter (fun f -> Shard.attached_instances fab ~forwarder:f <> [])
   in
   Alcotest.(check int) "both forwarders proxy instances" 2 (List.length used)
 
@@ -259,7 +259,7 @@ let test_chain_measurements () =
   for _ = 1 to 25 do
     match S.probe_chain sys ~chain (Packet.random_tuple rng) with
     | Ok _ -> ()
-    | Error e -> Alcotest.failf "probe: %a" Fabric.pp_error e
+    | Error e -> Alcotest.failf "probe: %a" Shard.pp_error e
   done;
   let stages = S.chain_measurements sys ~chain in
   Alcotest.(check int) "two stages measured" 2 (Array.length stages);
@@ -335,8 +335,8 @@ let test_gsb_failover_recovers_chains () =
   match S.probe_chain standby ~chain:c0 (Packet.random_tuple (Sb_util.Rng.create 77)) with
   | Ok trace ->
     Alcotest.(check (list int)) "recovered chain serves traffic" [ 7 ]
-      (Fabric.vnfs_in_trace (S.fabric standby) trace)
-  | Error e -> Alcotest.failf "probe on standby failed: %a" Fabric.pp_error e
+      (Shard.vnfs_in_trace (S.shard standby) trace)
+  | Error e -> Alcotest.failf "probe on standby failed: %a" Shard.pp_error e
 
 let test_gsb_dies_between_prepare_and_commit () =
   (* The coordinator crashes after sending Prepares but before deciding:
@@ -389,8 +389,8 @@ let test_gsb_dies_between_prepare_and_commit () =
   match S.probe_chain sys ~chain (Packet.random_tuple (Sb_util.Rng.create 9)) with
   | Ok trace ->
     Alcotest.(check (list int)) "data plane consistent after takeover" [ 7 ]
-      (Fabric.vnfs_in_trace (S.fabric sys) trace)
-  | Error e -> Alcotest.failf "probe after takeover failed: %a" Fabric.pp_error e
+      (Shard.vnfs_in_trace (S.shard sys) trace)
+  | Error e -> Alcotest.failf "probe after takeover failed: %a" Shard.pp_error e
 
 (* ----------------------- edge-site addition ------------------------ *)
 
@@ -434,8 +434,8 @@ let test_edge_site_traffic_flows () =
   match S.probe_chain sys ~chain ~ingress_site:2 tuple with
   | Ok trace ->
     Alcotest.(check (list int)) "traffic from new edge traverses the chain" [ 7 ]
-      (Fabric.vnfs_in_trace (S.fabric sys) trace)
-  | Error e -> Alcotest.failf "probe from new edge failed: %a" Fabric.pp_error e
+      (Shard.vnfs_in_trace (S.shard sys) trace)
+  | Error e -> Alcotest.failf "probe from new edge failed: %a" Shard.pp_error e
 
 let test_log_is_ordered () =
   let sys = build_two_sites () in
@@ -447,7 +447,6 @@ let test_log_is_ordered () =
 
 (* -------------- elastic placement: scale-out round trip -------------- *)
 
-module Shard = Sb_dataplane.Shard
 
 (* Scale-out then drain-and-remove must be an identity on every
    observable: committed routes, installed rule keys, admission ledger,
@@ -510,10 +509,10 @@ let scale_round_trip ~lanes ~flow_store ~seed ~scale_site =
     let tu = Packet.random_tuple rng in
     (match S.probe_chain a ~chain:ca tu with
     | Ok _ -> ()
-    | Error e -> fail "mid-lifecycle probe failed on a: %a" Fabric.pp_error e);
+    | Error e -> fail "mid-lifecycle probe failed on a: %a" Shard.pp_error e);
     match S.probe_chain b ~chain:cb tu with
     | Ok _ -> ()
-    | Error e -> fail "mid-lifecycle probe failed on twin: %a" Fabric.pp_error e
+    | Error e -> fail "mid-lifecycle probe failed on twin: %a" Shard.pp_error e
   done;
   S.update_routes a ~chain:ca
     [
@@ -576,9 +575,9 @@ let scale_round_trip ~lanes ~flow_store ~seed ~scale_site =
       if
         Shard.vnfs_in_trace (S.shard a) ta <> Shard.vnfs_in_trace (S.shard b) tb
       then fail "fresh connection traversed different VNFs"
-    | Error e, _ -> fail "post-round-trip probe failed on a: %a" Fabric.pp_error e
+    | Error e, _ -> fail "post-round-trip probe failed on a: %a" Shard.pp_error e
     | _, Error e ->
-      fail "post-round-trip probe failed on twin: %a" Fabric.pp_error e
+      fail "post-round-trip probe failed on twin: %a" Shard.pp_error e
   done;
   true
 
@@ -593,10 +592,10 @@ let prop_scale_round_trip =
         (fun (lanes, flow_store) ->
           scale_round_trip ~lanes ~flow_store ~seed ~scale_site)
         [
-          (1, Fabric.Local);
-          (1, Fabric.Replicated 2);
-          (4, Fabric.Local);
-          (4, Fabric.Replicated 2);
+          (1, Shard.Local);
+          (1, Shard.Replicated 2);
+          (4, Shard.Local);
+          (4, Shard.Replicated 2);
         ])
 
 let () =

@@ -1,7 +1,7 @@
 module Packet = Sb_dataplane.Packet
 module Flow_table = Sb_dataplane.Flow_table
 module Balancer = Sb_dataplane.Balancer
-module Fabric = Sb_dataplane.Fabric
+module Plane = Sb_dataplane.Plane
 module Ovs = Sb_dataplane.Ovs_model
 module Dpdk = Sb_dataplane.Dpdk_model
 
@@ -133,7 +133,7 @@ let prop_balancer_hierarchical_convergence =
 (* Chain with two VNFs (G at site A with 2 instances, O at site B with 2),
    ingress edge at A, egress edge at B. *)
 type testbed = {
-  fab : Fabric.t;
+  fab : Plane.t;
   ein : int;
   eout : int;
   g1 : int;
@@ -148,36 +148,36 @@ let chain_label = 1
 let egress_label = 3
 
 let build_testbed ?(seed = 7) () =
-  let fab = Fabric.create ~seed () in
-  let sa = Fabric.add_site fab "A" in
-  let sb = Fabric.add_site fab "B" in
-  let fa = Fabric.add_forwarder fab ~site:sa in
-  let fb = Fabric.add_forwarder fab ~site:sb in
-  let ein = Fabric.add_edge fab ~site:sa ~forwarder:fa in
-  let eout = Fabric.add_edge fab ~site:sb ~forwarder:fb in
-  let g1 = Fabric.add_vnf_instance fab ~vnf:100 ~site:sa ~forwarder:fa () in
-  let g2 = Fabric.add_vnf_instance fab ~vnf:100 ~site:sa ~forwarder:fa () in
-  let o1 = Fabric.add_vnf_instance fab ~vnf:200 ~site:sb ~forwarder:fb () in
-  let o2 = Fabric.add_vnf_instance fab ~vnf:200 ~site:sb ~forwarder:fb () in
-  Fabric.install_rule fab ~forwarder:fa ~chain_label ~egress_label ~stage:0
-    [ (Fabric.Vnf_instance g1, 0.5); (Fabric.Vnf_instance g2, 0.5) ];
-  Fabric.install_rule fab ~forwarder:fa ~chain_label ~egress_label ~stage:1
-    [ (Fabric.Forwarder fb, 1.0) ];
-  Fabric.install_rule fab ~forwarder:fb ~chain_label ~egress_label ~stage:1
-    [ (Fabric.Vnf_instance o1, 0.5); (Fabric.Vnf_instance o2, 0.5) ];
-  Fabric.install_rule fab ~forwarder:fb ~chain_label ~egress_label ~stage:2
-    [ (Fabric.Edge eout, 1.0) ];
+  let fab = Plane.create ~seed () in
+  let sa = Plane.add_site fab "A" in
+  let sb = Plane.add_site fab "B" in
+  let fa = Plane.add_forwarder fab ~site:sa in
+  let fb = Plane.add_forwarder fab ~site:sb in
+  let ein = Plane.add_edge fab ~site:sa ~forwarder:fa in
+  let eout = Plane.add_edge fab ~site:sb ~forwarder:fb in
+  let g1 = Plane.add_vnf_instance fab ~vnf:100 ~site:sa ~forwarder:fa () in
+  let g2 = Plane.add_vnf_instance fab ~vnf:100 ~site:sa ~forwarder:fa () in
+  let o1 = Plane.add_vnf_instance fab ~vnf:200 ~site:sb ~forwarder:fb () in
+  let o2 = Plane.add_vnf_instance fab ~vnf:200 ~site:sb ~forwarder:fb () in
+  Plane.install_rule fab ~forwarder:fa ~chain_label ~egress_label ~stage:0
+    [ (Plane.Vnf_instance g1, 0.5); (Plane.Vnf_instance g2, 0.5) ];
+  Plane.install_rule fab ~forwarder:fa ~chain_label ~egress_label ~stage:1
+    [ (Plane.Forwarder fb, 1.0) ];
+  Plane.install_rule fab ~forwarder:fb ~chain_label ~egress_label ~stage:1
+    [ (Plane.Vnf_instance o1, 0.5); (Plane.Vnf_instance o2, 0.5) ];
+  Plane.install_rule fab ~forwarder:fb ~chain_label ~egress_label ~stage:2
+    [ (Plane.Edge eout, 1.0) ];
   { fab; ein; eout; g1; g2; o1; o2; fa; fb }
 
 let send_ok tb tuple =
-  match Fabric.send_forward tb.fab ~ingress:tb.ein ~chain_label ~egress_label tuple with
+  match Plane.send_forward tb.fab ~ingress:tb.ein ~chain_label ~egress_label tuple with
   | Ok trace -> trace
-  | Error e -> Alcotest.failf "forward failed: %a" Fabric.pp_error e
+  | Error e -> Alcotest.failf "forward failed: %a" Plane.pp_error e
 
 let send_rev_ok tb tuple =
-  match Fabric.send_reverse tb.fab ~egress:tb.eout ~chain_label ~egress_label tuple with
+  match Plane.send_reverse tb.fab ~egress:tb.eout ~chain_label ~egress_label tuple with
   | Ok trace -> trace
-  | Error e -> Alcotest.failf "reverse failed: %a" Fabric.pp_error e
+  | Error e -> Alcotest.failf "reverse failed: %a" Plane.pp_error e
 
 let test_conformity () =
   let tb = build_testbed () in
@@ -185,17 +185,17 @@ let test_conformity () =
   for _ = 1 to 50 do
     let trace = send_ok tb (Packet.random_tuple rng) in
     Alcotest.(check (list int)) "VNF order is the chain order" [ 100; 200 ]
-      (Fabric.vnfs_in_trace tb.fab trace)
+      (Plane.vnfs_in_trace tb.fab trace)
   done
 
 let test_trace_endpoints () =
   let tb = build_testbed () in
   let trace = send_ok tb tuple1 in
   (match trace with
-  | Fabric.Edge e :: _ -> Alcotest.(check int) "starts at ingress" tb.ein e
+  | Plane.Edge e :: _ -> Alcotest.(check int) "starts at ingress" tb.ein e
   | _ -> Alcotest.fail "trace must start at an edge");
   match List.rev trace with
-  | Fabric.Edge e :: _ -> Alcotest.(check int) "ends at egress" tb.eout e
+  | Plane.Edge e :: _ -> Alcotest.(check int) "ends at egress" tb.eout e
   | _ -> Alcotest.fail "trace must end at an edge"
 
 let test_flow_affinity () =
@@ -203,9 +203,9 @@ let test_flow_affinity () =
   let rng = Sb_util.Rng.create 2 in
   for _ = 1 to 30 do
     let tuple = Packet.random_tuple rng in
-    let first = Fabric.instances_in_trace (send_ok tb tuple) in
+    let first = Plane.instances_in_trace (send_ok tb tuple) in
     for _ = 1 to 5 do
-      let again = Fabric.instances_in_trace (send_ok tb tuple) in
+      let again = Plane.instances_in_trace (send_ok tb tuple) in
       Alcotest.(check (list int)) "same instances for same connection" first again
     done
   done
@@ -215,18 +215,18 @@ let test_symmetric_return () =
   let rng = Sb_util.Rng.create 3 in
   for _ = 1 to 30 do
     let tuple = Packet.random_tuple rng in
-    let fwd = Fabric.instances_in_trace (send_ok tb tuple) in
-    let rev = Fabric.instances_in_trace (send_rev_ok tb tuple) in
+    let fwd = Plane.instances_in_trace (send_ok tb tuple) in
+    let rev = Plane.instances_in_trace (send_rev_ok tb tuple) in
     Alcotest.(check (list int)) "reverse visits same instances reversed"
       (List.rev fwd) rev
   done
 
 let test_reverse_without_forward_fails () =
   let tb = build_testbed () in
-  match Fabric.send_reverse tb.fab ~egress:tb.eout ~chain_label ~egress_label tuple1 with
-  | Error (Fabric.No_reverse_entry _) -> ()
+  match Plane.send_reverse tb.fab ~egress:tb.eout ~chain_label ~egress_label tuple1 with
+  | Error (Plane.No_reverse_entry _) -> ()
   | Ok _ -> Alcotest.fail "reverse should fail without forward state"
-  | Error e -> Alcotest.failf "unexpected error: %a" Fabric.pp_error e
+  | Error e -> Alcotest.failf "unexpected error: %a" Plane.pp_error e
 
 let test_load_balancing_spreads () =
   let tb = build_testbed () in
@@ -236,7 +236,7 @@ let test_load_balancing_spreads () =
     let trace = send_ok tb (Packet.random_tuple rng) in
     List.iter
       (fun i -> Hashtbl.replace counts i (1 + try Hashtbl.find counts i with Not_found -> 0))
-      (Fabric.instances_in_trace trace)
+      (Plane.instances_in_trace trace)
   done;
   List.iter
     (fun i ->
@@ -247,8 +247,8 @@ let test_load_balancing_spreads () =
 let test_weight_skew_respected () =
   let tb = build_testbed () in
   (* Reweight G's instances 9:1; existing flows unaffected, new flows skewed. *)
-  Fabric.install_rule tb.fab ~forwarder:tb.fa ~chain_label ~egress_label ~stage:0
-    [ (Fabric.Vnf_instance tb.g1, 0.9); (Fabric.Vnf_instance tb.g2, 0.1) ];
+  Plane.install_rule tb.fab ~forwarder:tb.fa ~chain_label ~egress_label ~stage:0
+    [ (Plane.Vnf_instance tb.g1, 0.9); (Plane.Vnf_instance tb.g2, 0.1) ];
   let rng = Sb_util.Rng.create 5 in
   let g1_count = ref 0 and g2_count = ref 0 in
   for _ = 1 to 1000 do
@@ -256,7 +256,7 @@ let test_weight_skew_respected () =
     List.iter
       (fun i ->
         if i = tb.g1 then incr g1_count else if i = tb.g2 then incr g2_count)
-      (Fabric.instances_in_trace trace)
+      (Plane.instances_in_trace trace)
   done;
   let ratio = float_of_int !g1_count /. float_of_int (max 1 !g2_count) in
   Alcotest.(check bool) "9:1 within tolerance" true (ratio > 6. && ratio < 14.)
@@ -265,17 +265,17 @@ let test_affinity_survives_weight_change () =
   let tb = build_testbed () in
   let rng = Sb_util.Rng.create 6 in
   let tuples = List.init 20 (fun _ -> Packet.random_tuple rng) in
-  let before = List.map (fun t -> Fabric.instances_in_trace (send_ok tb t)) tuples in
+  let before = List.map (fun t -> Plane.instances_in_trace (send_ok tb t)) tuples in
   (* Shift all new traffic to g2 only. *)
-  Fabric.install_rule tb.fab ~forwarder:tb.fa ~chain_label ~egress_label ~stage:0
-    [ (Fabric.Vnf_instance tb.g2, 1.0) ];
-  let after = List.map (fun t -> Fabric.instances_in_trace (send_ok tb t)) tuples in
+  Plane.install_rule tb.fab ~forwarder:tb.fa ~chain_label ~egress_label ~stage:0
+    [ (Plane.Vnf_instance tb.g2, 1.0) ];
+  let after = List.map (fun t -> Plane.instances_in_trace (send_ok tb t)) tuples in
   List.iter2
     (fun b a -> Alcotest.(check (list int)) "existing connections keep their path" b a)
     before after;
   (* A new connection after the change must use g2. *)
   let fresh = Packet.random_tuple rng in
-  let trace = Fabric.instances_in_trace (send_ok tb fresh) in
+  let trace = Plane.instances_in_trace (send_ok tb fresh) in
   Alcotest.(check bool) "new connection follows new rule" true (List.mem tb.g2 trace);
   Alcotest.(check bool) "new connection avoids g1" false (List.mem tb.g1 trace)
 
@@ -283,10 +283,10 @@ let test_symmetric_return_after_route_change () =
   let tb = build_testbed () in
   let rng = Sb_util.Rng.create 7 in
   let tuple = Packet.random_tuple rng in
-  let fwd = Fabric.instances_in_trace (send_ok tb tuple) in
-  Fabric.install_rule tb.fab ~forwarder:tb.fa ~chain_label ~egress_label ~stage:0
-    [ (Fabric.Vnf_instance tb.g2, 1.0) ];
-  let rev = Fabric.instances_in_trace (send_rev_ok tb tuple) in
+  let fwd = Plane.instances_in_trace (send_ok tb tuple) in
+  Plane.install_rule tb.fab ~forwarder:tb.fa ~chain_label ~egress_label ~stage:0
+    [ (Plane.Vnf_instance tb.g2, 1.0) ];
+  let rev = Plane.instances_in_trace (send_rev_ok tb tuple) in
   Alcotest.(check (list int)) "reverse still symmetric after rule change"
     (List.rev fwd) rev
 
@@ -298,71 +298,71 @@ let test_flow_table_sizes () =
   done;
   (* Per connection: fa stores stage 0 (receiver+sender merged) and stage 1;
      fb stores stage 1 and stage 2. *)
-  Alcotest.(check int) "fa entries" 20 (Fabric.flow_table_size tb.fab ~forwarder:tb.fa);
-  Alcotest.(check int) "fb entries" 20 (Fabric.flow_table_size tb.fab ~forwarder:tb.fb)
+  Alcotest.(check int) "fa entries" 20 (Plane.flow_table_size tb.fab ~forwarder:tb.fa);
+  Alcotest.(check int) "fb entries" 20 (Plane.flow_table_size tb.fab ~forwarder:tb.fb)
 
 let test_end_flow_clears_state () =
   let tb = build_testbed () in
   ignore (send_ok tb tuple1);
-  Fabric.end_flow tb.fab tuple1;
-  Alcotest.(check int) "fa cleared" 0 (Fabric.flow_table_size tb.fab ~forwarder:tb.fa);
-  match Fabric.send_reverse tb.fab ~egress:tb.eout ~chain_label ~egress_label tuple1 with
-  | Error (Fabric.No_reverse_entry _) -> ()
+  Plane.end_flow tb.fab tuple1;
+  Alcotest.(check int) "fa cleared" 0 (Plane.flow_table_size tb.fab ~forwarder:tb.fa);
+  match Plane.send_reverse tb.fab ~egress:tb.eout ~chain_label ~egress_label tuple1 with
+  | Error (Plane.No_reverse_entry _) -> ()
   | _ -> Alcotest.fail "reverse after teardown should fail"
 
 let test_no_rule_error () =
   let tb = build_testbed () in
-  match Fabric.send_forward tb.fab ~ingress:tb.ein ~chain_label:99 ~egress_label tuple1 with
-  | Error (Fabric.No_rule _) -> ()
+  match Plane.send_forward tb.fab ~ingress:tb.ein ~chain_label:99 ~egress_label tuple1 with
+  | Error (Plane.No_rule _) -> ()
   | _ -> Alcotest.fail "unknown chain should have no rule"
 
 let test_rule_loop_detected () =
-  let fab = Fabric.create () in
-  let s = Fabric.add_site fab "A" in
-  let f1 = Fabric.add_forwarder fab ~site:s in
-  let f2 = Fabric.add_forwarder fab ~site:s in
-  let e = Fabric.add_edge fab ~site:s ~forwarder:f1 in
-  Fabric.install_rule fab ~forwarder:f1 ~chain_label:1 ~egress_label:1 ~stage:0
-    [ (Fabric.Forwarder f2, 1.) ];
-  Fabric.install_rule fab ~forwarder:f2 ~chain_label:1 ~egress_label:1 ~stage:0
-    [ (Fabric.Forwarder f1, 1.) ];
-  match Fabric.send_forward fab ~ingress:e ~chain_label:1 ~egress_label:1 tuple1 with
-  | Error Fabric.Ttl_exceeded -> ()
+  let fab = Plane.create () in
+  let s = Plane.add_site fab "A" in
+  let f1 = Plane.add_forwarder fab ~site:s in
+  let f2 = Plane.add_forwarder fab ~site:s in
+  let e = Plane.add_edge fab ~site:s ~forwarder:f1 in
+  Plane.install_rule fab ~forwarder:f1 ~chain_label:1 ~egress_label:1 ~stage:0
+    [ (Plane.Forwarder f2, 1.) ];
+  Plane.install_rule fab ~forwarder:f2 ~chain_label:1 ~egress_label:1 ~stage:0
+    [ (Plane.Forwarder f1, 1.) ];
+  match Plane.send_forward fab ~ingress:e ~chain_label:1 ~egress_label:1 tuple1 with
+  | Error Plane.Ttl_exceeded -> ()
   | _ -> Alcotest.fail "expected TTL loop detection"
 
 let test_published_weight () =
   let tb = build_testbed () in
   Alcotest.(check (float 1e-9)) "fa publishes G weight 2" 2.
-    (Fabric.forwarder_published_weight tb.fab tb.fa 100);
-  Fabric.set_instance_weight tb.fab tb.g1 3.;
+    (Plane.forwarder_published_weight tb.fab tb.fa 100);
+  Plane.set_instance_weight tb.fab tb.g1 3.;
   Alcotest.(check (float 1e-9)) "updated weight" 4.
-    (Fabric.forwarder_published_weight tb.fab tb.fa 100);
+    (Plane.forwarder_published_weight tb.fab tb.fa 100);
   Alcotest.(check (float 1e-9)) "other vnf zero" 0.
-    (Fabric.forwarder_published_weight tb.fab tb.fa 200)
+    (Plane.forwarder_published_weight tb.fab tb.fa 200)
 
 let test_same_site_chain () =
   (* Whole chain on one site, one forwarder: ingress, two VNFs, egress. *)
-  let fab = Fabric.create () in
-  let s = Fabric.add_site fab "A" in
-  let f = Fabric.add_forwarder fab ~site:s in
-  let ein = Fabric.add_edge fab ~site:s ~forwarder:f in
-  let eout = Fabric.add_edge fab ~site:s ~forwarder:f in
-  let v1 = Fabric.add_vnf_instance fab ~vnf:1 ~site:s ~forwarder:f () in
-  let v2 = Fabric.add_vnf_instance fab ~vnf:2 ~site:s ~forwarder:f () in
-  Fabric.install_rule fab ~forwarder:f ~chain_label:1 ~egress_label:1 ~stage:0
-    [ (Fabric.Vnf_instance v1, 1.) ];
-  Fabric.install_rule fab ~forwarder:f ~chain_label:1 ~egress_label:1 ~stage:1
-    [ (Fabric.Vnf_instance v2, 1.) ];
-  Fabric.install_rule fab ~forwarder:f ~chain_label:1 ~egress_label:1 ~stage:2
-    [ (Fabric.Edge eout, 1.) ];
-  (match Fabric.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 tuple1 with
+  let fab = Plane.create () in
+  let s = Plane.add_site fab "A" in
+  let f = Plane.add_forwarder fab ~site:s in
+  let ein = Plane.add_edge fab ~site:s ~forwarder:f in
+  let eout = Plane.add_edge fab ~site:s ~forwarder:f in
+  let v1 = Plane.add_vnf_instance fab ~vnf:1 ~site:s ~forwarder:f () in
+  let v2 = Plane.add_vnf_instance fab ~vnf:2 ~site:s ~forwarder:f () in
+  Plane.install_rule fab ~forwarder:f ~chain_label:1 ~egress_label:1 ~stage:0
+    [ (Plane.Vnf_instance v1, 1.) ];
+  Plane.install_rule fab ~forwarder:f ~chain_label:1 ~egress_label:1 ~stage:1
+    [ (Plane.Vnf_instance v2, 1.) ];
+  Plane.install_rule fab ~forwarder:f ~chain_label:1 ~egress_label:1 ~stage:2
+    [ (Plane.Edge eout, 1.) ];
+  (match Plane.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 tuple1 with
   | Ok trace ->
-    Alcotest.(check (list int)) "conformity" [ 1; 2 ] (Fabric.vnfs_in_trace fab trace)
-  | Error e -> Alcotest.failf "forward failed: %a" Fabric.pp_error e);
-  match Fabric.send_reverse fab ~egress:eout ~chain_label:1 ~egress_label:1 tuple1 with
+    Alcotest.(check (list int)) "conformity" [ 1; 2 ] (Plane.vnfs_in_trace fab trace)
+  | Error e -> Alcotest.failf "forward failed: %a" Plane.pp_error e);
+  match Plane.send_reverse fab ~egress:eout ~chain_label:1 ~egress_label:1 tuple1 with
   | Ok trace ->
-    Alcotest.(check (list int)) "reverse conformity" [ 2; 1 ] (Fabric.vnfs_in_trace fab trace)
-  | Error e -> Alcotest.failf "reverse failed: %a" Fabric.pp_error e
+    Alcotest.(check (list int)) "reverse conformity" [ 2; 1 ] (Plane.vnfs_in_trace fab trace)
+  | Error e -> Alcotest.failf "reverse failed: %a" Plane.pp_error e
 
 
 let test_instance_failure_breaks_pinned_flows () =
@@ -372,30 +372,30 @@ let test_instance_failure_breaks_pinned_flows () =
   let tuples = List.init 30 (fun _ -> Packet.random_tuple rng) in
   let pinned_to_g1 =
     List.filter
-      (fun tuple -> List.mem tb.g1 (Fabric.instances_in_trace (send_ok tb tuple)))
+      (fun tuple -> List.mem tb.g1 (Plane.instances_in_trace (send_ok tb tuple)))
       tuples
   in
   Alcotest.(check bool) "some connections pinned to g1" true (pinned_to_g1 <> []);
-  Fabric.fail_instance tb.fab tb.g1;
-  Alcotest.(check bool) "marked dead" false (Fabric.instance_alive tb.fab tb.g1);
+  Plane.fail_instance tb.fab tb.g1;
+  Alcotest.(check bool) "marked dead" false (Plane.instance_alive tb.fab tb.g1);
   (* Pinned connections now fail (the paper's affinity-violation caveat)... *)
   List.iter
     (fun tuple ->
-      match Fabric.send_forward tb.fab ~ingress:tb.ein ~chain_label ~egress_label tuple with
-      | Error (Fabric.Instance_down i) -> Alcotest.(check int) "down instance" tb.g1 i
+      match Plane.send_forward tb.fab ~ingress:tb.ein ~chain_label ~egress_label tuple with
+      | Error (Plane.Instance_down i) -> Alcotest.(check int) "down instance" tb.g1 i
       | Ok _ -> Alcotest.fail "pinned connection should hit the dead instance"
-      | Error e -> Alcotest.failf "unexpected error: %a" Fabric.pp_error e)
+      | Error e -> Alcotest.failf "unexpected error: %a" Plane.pp_error e)
     pinned_to_g1;
   (* ...until the controller updates the rule; then NEW connections avoid
      g1, and torn-down old connections recover on re-establishment. *)
-  Fabric.install_rule tb.fab ~forwarder:tb.fa ~chain_label ~egress_label ~stage:0
-    [ (Fabric.Vnf_instance tb.g2, 1.0) ];
-  List.iter (fun tuple -> Fabric.end_flow tb.fab tuple) pinned_to_g1;
+  Plane.install_rule tb.fab ~forwarder:tb.fa ~chain_label ~egress_label ~stage:0
+    [ (Plane.Vnf_instance tb.g2, 1.0) ];
+  List.iter (fun tuple -> Plane.end_flow tb.fab tuple) pinned_to_g1;
   List.iter
     (fun tuple ->
       let trace = send_ok tb tuple in
       Alcotest.(check bool) "re-established on g2" true
-        (List.mem tb.g2 (Fabric.instances_in_trace trace)))
+        (List.mem tb.g2 (Plane.instances_in_trace trace)))
     pinned_to_g1
 
 
@@ -405,30 +405,30 @@ let test_transfer_flows_preserves_affinity () =
   let tuples = List.init 20 (fun _ -> Packet.random_tuple rng) in
   List.iter (fun t -> ignore (send_ok tb t)) tuples;
   let pinned_to_g1 =
-    List.filter (fun t -> List.mem tb.g1 (Fabric.instances_in_trace (send_ok tb t))) tuples
+    List.filter (fun t -> List.mem tb.g1 (Plane.instances_in_trace (send_ok tb t))) tuples
   in
   Alcotest.(check bool) "have connections on g1" true (pinned_to_g1 <> []);
   (* Migrate g1's state to g2 (OpenNF-style), then kill g1. *)
-  let rewritten = Fabric.transfer_flows tb.fab ~from_instance:tb.g1 ~to_instance:tb.g2 in
+  let rewritten = Plane.transfer_flows tb.fab ~from_instance:tb.g1 ~to_instance:tb.g2 in
   Alcotest.(check bool) "entries rewritten" true (rewritten > 0);
-  Fabric.fail_instance tb.fab tb.g1;
+  Plane.fail_instance tb.fab tb.g1;
   List.iter
     (fun tuple ->
       (* Forward traffic keeps flowing, now through g2, same everywhere else. *)
       let trace = send_ok tb tuple in
-      let insts = Fabric.instances_in_trace trace in
+      let insts = Plane.instances_in_trace trace in
       Alcotest.(check bool) "uses g2" true (List.mem tb.g2 insts);
       Alcotest.(check bool) "avoids dead g1" false (List.mem tb.g1 insts);
       (* Symmetric return also survives the migration. *)
-      let rev = Fabric.instances_in_trace (send_rev_ok tb tuple) in
+      let rev = Plane.instances_in_trace (send_rev_ok tb tuple) in
       Alcotest.(check (list int)) "reverse symmetric post-transfer" (List.rev insts) rev)
     pinned_to_g1
 
 let test_transfer_flows_rejects_cross_vnf () =
   let tb = build_testbed () in
   Alcotest.check_raises "different VNF types"
-    (Invalid_argument "Fabric.transfer_flows: instances run different VNFs") (fun () ->
-      ignore (Fabric.transfer_flows tb.fab ~from_instance:tb.g1 ~to_instance:tb.o1))
+    (Invalid_argument "Plane.transfer_flows: instances run different VNFs") (fun () ->
+      ignore (Plane.transfer_flows tb.fab ~from_instance:tb.g1 ~to_instance:tb.o1))
 
 let test_transfer_flows_other_connections_untouched () =
   let tb = build_testbed () in
@@ -436,11 +436,11 @@ let test_transfer_flows_other_connections_untouched () =
   let tuples = List.init 20 (fun _ -> Packet.random_tuple rng) in
   List.iter (fun t -> ignore (send_ok tb t)) tuples;
   let on_g2 =
-    List.filter (fun t -> List.mem tb.g2 (Fabric.instances_in_trace (send_ok tb t))) tuples
+    List.filter (fun t -> List.mem tb.g2 (Plane.instances_in_trace (send_ok tb t))) tuples
   in
-  let before = List.map (fun t -> Fabric.instances_in_trace (send_ok tb t)) on_g2 in
-  ignore (Fabric.transfer_flows tb.fab ~from_instance:tb.g1 ~to_instance:tb.g2);
-  let after = List.map (fun t -> Fabric.instances_in_trace (send_ok tb t)) on_g2 in
+  let before = List.map (fun t -> Plane.instances_in_trace (send_ok tb t)) on_g2 in
+  ignore (Plane.transfer_flows tb.fab ~from_instance:tb.g1 ~to_instance:tb.g2);
+  let after = List.map (fun t -> Plane.instances_in_trace (send_ok tb t)) on_g2 in
   List.iter2
     (fun b a -> Alcotest.(check (list int)) "g2 connections unchanged" b a)
     before after
@@ -449,37 +449,37 @@ let test_transfer_flows_other_connections_untouched () =
 let test_transfer_flows_across_forwarders () =
   (* Same VNF on two different forwarders at one site: migration must also
      move the onward/return entries to the new instance's forwarder. *)
-  let fab = Fabric.create ~seed:11 () in
-  let sa = Fabric.add_site fab "A" in
-  let fa1 = Fabric.add_forwarder fab ~site:sa in
-  let fa2 = Fabric.add_forwarder fab ~site:sa in
-  let ein = Fabric.add_edge fab ~site:sa ~forwarder:fa1 in
-  let eout = Fabric.add_edge fab ~site:sa ~forwarder:fa1 in
-  let g1 = Fabric.add_vnf_instance fab ~vnf:5 ~site:sa ~forwarder:fa1 () in
-  let g2 = Fabric.add_vnf_instance fab ~vnf:5 ~site:sa ~forwarder:fa2 () in
-  Fabric.install_rule fab ~forwarder:fa1 ~chain_label:1 ~egress_label:1 ~stage:0
-    [ (Fabric.Vnf_instance g1, 1.0) ];
-  Fabric.install_rule fab ~forwarder:fa1 ~chain_label:1 ~egress_label:1 ~stage:1
-    [ (Fabric.Edge eout, 1.0) ];
-  Fabric.install_rule fab ~forwarder:fa2 ~chain_label:1 ~egress_label:1 ~stage:1
-    [ (Fabric.Edge eout, 1.0) ];
+  let fab = Plane.create ~seed:11 () in
+  let sa = Plane.add_site fab "A" in
+  let fa1 = Plane.add_forwarder fab ~site:sa in
+  let fa2 = Plane.add_forwarder fab ~site:sa in
+  let ein = Plane.add_edge fab ~site:sa ~forwarder:fa1 in
+  let eout = Plane.add_edge fab ~site:sa ~forwarder:fa1 in
+  let g1 = Plane.add_vnf_instance fab ~vnf:5 ~site:sa ~forwarder:fa1 () in
+  let g2 = Plane.add_vnf_instance fab ~vnf:5 ~site:sa ~forwarder:fa2 () in
+  Plane.install_rule fab ~forwarder:fa1 ~chain_label:1 ~egress_label:1 ~stage:0
+    [ (Plane.Vnf_instance g1, 1.0) ];
+  Plane.install_rule fab ~forwarder:fa1 ~chain_label:1 ~egress_label:1 ~stage:1
+    [ (Plane.Edge eout, 1.0) ];
+  Plane.install_rule fab ~forwarder:fa2 ~chain_label:1 ~egress_label:1 ~stage:1
+    [ (Plane.Edge eout, 1.0) ];
   let rng = Sb_util.Rng.create 44 in
   let tuples = List.init 5 (fun _ -> Packet.random_tuple rng) in
   List.iter
     (fun t ->
-      match Fabric.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 t with
+      match Plane.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 t with
       | Ok _ -> ()
-      | Error e -> Alcotest.failf "establish: %a" Fabric.pp_error e)
+      | Error e -> Alcotest.failf "establish: %a" Plane.pp_error e)
     tuples;
-  ignore (Fabric.transfer_flows fab ~from_instance:g1 ~to_instance:g2);
-  Fabric.fail_instance fab g1;
+  ignore (Plane.transfer_flows fab ~from_instance:g1 ~to_instance:g2);
+  Plane.fail_instance fab g1;
   List.iter
     (fun t ->
-      match Fabric.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 t with
+      match Plane.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 t with
       | Ok trace ->
         Alcotest.(check (list int)) "flows via g2 on the other forwarder" [ g2 ]
-          (Fabric.instances_in_trace trace)
-      | Error e -> Alcotest.failf "post-transfer: %a" Fabric.pp_error e)
+          (Plane.instances_in_trace trace)
+      | Error e -> Alcotest.failf "post-transfer: %a" Plane.pp_error e)
     tuples
 
 
@@ -490,39 +490,39 @@ let test_transfer_flows_across_forwarders () =
    flow tables the connection state died with F1; with the DHT flow store
    (Section 5.3) every connection keeps its instances. *)
 let forwarder_failure_scenario ~flow_store ~seed =
-  let fab = Fabric.create ~seed ~flow_store () in
-  let sa = Fabric.add_site fab "A" in
-  let f1 = Fabric.add_forwarder fab ~site:sa in
-  let f2 = Fabric.add_forwarder fab ~site:sa in
-  let ein = Fabric.add_edge fab ~site:sa ~forwarder:f1 in
-  let eout = Fabric.add_edge fab ~site:sa ~forwarder:f1 in
-  let g1 = Fabric.add_vnf_instance fab ~vnf:5 ~site:sa ~forwarder:f1 () in
-  let g2 = Fabric.add_vnf_instance fab ~vnf:5 ~site:sa ~forwarder:f2 () in
+  let fab = Plane.create ~seed ~flow_store () in
+  let sa = Plane.add_site fab "A" in
+  let f1 = Plane.add_forwarder fab ~site:sa in
+  let f2 = Plane.add_forwarder fab ~site:sa in
+  let ein = Plane.add_edge fab ~site:sa ~forwarder:f1 in
+  let eout = Plane.add_edge fab ~site:sa ~forwarder:f1 in
+  let g1 = Plane.add_vnf_instance fab ~vnf:5 ~site:sa ~forwarder:f1 () in
+  let g2 = Plane.add_vnf_instance fab ~vnf:5 ~site:sa ~forwarder:f2 () in
   List.iter
     (fun fwd ->
-      Fabric.install_rule fab ~forwarder:fwd ~chain_label:1 ~egress_label:1 ~stage:0
-        [ (Fabric.Vnf_instance g1, 0.5); (Fabric.Vnf_instance g2, 0.5) ];
-      Fabric.install_rule fab ~forwarder:fwd ~chain_label:1 ~egress_label:1 ~stage:1
-        [ (Fabric.Edge eout, 1.0) ])
+      Plane.install_rule fab ~forwarder:fwd ~chain_label:1 ~egress_label:1 ~stage:0
+        [ (Plane.Vnf_instance g1, 0.5); (Plane.Vnf_instance g2, 0.5) ];
+      Plane.install_rule fab ~forwarder:fwd ~chain_label:1 ~egress_label:1 ~stage:1
+        [ (Plane.Edge eout, 1.0) ])
     [ f1; f2 ];
   let rng = Sb_util.Rng.create (seed + 1) in
   let tuples = List.init 30 (fun _ -> Packet.random_tuple rng) in
   let establish tuple =
-    match Fabric.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 tuple with
-    | Ok trace -> Fabric.instances_in_trace trace
-    | Error e -> Alcotest.failf "establish: %a" Fabric.pp_error e
+    match Plane.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 tuple with
+    | Ok trace -> Plane.instances_in_trace trace
+    | Error e -> Alcotest.failf "establish: %a" Plane.pp_error e
   in
   let before = List.map establish tuples in
-  Fabric.fail_forwarder fab f1;
-  Fabric.reattach_edge fab ein ~forwarder:f2;
-  Fabric.reattach_edge fab eout ~forwarder:f2;
-  Fabric.reattach_instance fab g1 ~forwarder:f2;
+  Plane.fail_forwarder fab f1;
+  Plane.reattach_edge fab ein ~forwarder:f2;
+  Plane.reattach_edge fab eout ~forwarder:f2;
+  Plane.reattach_instance fab g1 ~forwarder:f2;
   let after = List.map establish tuples in
   (fab, ein, eout, tuples, before, after)
 
 let test_forwarder_failure_local_loses_affinity () =
   let _, _, _, _, before, after =
-    forwarder_failure_scenario ~flow_store:Fabric.Local ~seed:51
+    forwarder_failure_scenario ~flow_store:Plane.Local ~seed:51
   in
   (* The flow state died with F1: the rebalanced choices differ for at
      least one connection (deterministic under the fixed seed). *)
@@ -531,7 +531,7 @@ let test_forwarder_failure_local_loses_affinity () =
 
 let test_forwarder_failure_replicated_keeps_affinity () =
   let fab, _, eout, tuples, before, after =
-    forwarder_failure_scenario ~flow_store:(Fabric.Replicated 2) ~seed:51
+    forwarder_failure_scenario ~flow_store:(Plane.Replicated 2) ~seed:51
   in
   List.iter2
     (fun b a -> Alcotest.(check (list int)) "affinity survives forwarder death" b a)
@@ -540,56 +540,56 @@ let test_forwarder_failure_replicated_keeps_affinity () =
      prev hops out of the replicated state. *)
   List.iter2
     (fun tuple fwd_insts ->
-      match Fabric.send_reverse fab ~egress:eout ~chain_label:1 ~egress_label:1 tuple with
+      match Plane.send_reverse fab ~egress:eout ~chain_label:1 ~egress_label:1 tuple with
       | Ok trace ->
         Alcotest.(check (list int)) "symmetric return survives"
           (List.rev fwd_insts)
-          (Fabric.instances_in_trace trace)
-      | Error e -> Alcotest.failf "reverse after failover: %a" Fabric.pp_error e)
+          (Plane.instances_in_trace trace)
+      | Error e -> Alcotest.failf "reverse after failover: %a" Plane.pp_error e)
     tuples before
 
 let test_forwarder_down_error () =
-  let fab = Fabric.create () in
-  let sa = Fabric.add_site fab "A" in
-  let f1 = Fabric.add_forwarder fab ~site:sa in
-  let ein = Fabric.add_edge fab ~site:sa ~forwarder:f1 in
-  Fabric.fail_forwarder fab f1;
-  Alcotest.(check bool) "marked dead" false (Fabric.forwarder_alive fab f1);
-  match Fabric.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 tuple1 with
-  | Error (Fabric.Forwarder_down f) -> Alcotest.(check int) "f1 reported" f1 f
+  let fab = Plane.create () in
+  let sa = Plane.add_site fab "A" in
+  let f1 = Plane.add_forwarder fab ~site:sa in
+  let ein = Plane.add_edge fab ~site:sa ~forwarder:f1 in
+  Plane.fail_forwarder fab f1;
+  Alcotest.(check bool) "marked dead" false (Plane.forwarder_alive fab f1);
+  match Plane.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 tuple1 with
+  | Error (Plane.Forwarder_down f) -> Alcotest.(check int) "f1 reported" f1 f
   | _ -> Alcotest.fail "expected Forwarder_down"
 
 let test_replicated_mode_basic_safety () =
   (* The standard 2-site testbed invariants hold under the DHT store too. *)
-  let fab = Fabric.create ~seed:7 ~flow_store:(Fabric.Replicated 2) () in
-  let sa = Fabric.add_site fab "A" in
-  let sb = Fabric.add_site fab "B" in
-  let fa = Fabric.add_forwarder fab ~site:sa in
-  let fb = Fabric.add_forwarder fab ~site:sb in
-  let ein = Fabric.add_edge fab ~site:sa ~forwarder:fa in
-  let eout = Fabric.add_edge fab ~site:sb ~forwarder:fb in
-  let g1 = Fabric.add_vnf_instance fab ~vnf:100 ~site:sa ~forwarder:fa () in
-  let o1 = Fabric.add_vnf_instance fab ~vnf:200 ~site:sb ~forwarder:fb () in
-  Fabric.install_rule fab ~forwarder:fa ~chain_label:1 ~egress_label:3 ~stage:0
-    [ (Fabric.Vnf_instance g1, 1.) ];
-  Fabric.install_rule fab ~forwarder:fa ~chain_label:1 ~egress_label:3 ~stage:1
-    [ (Fabric.Forwarder fb, 1.) ];
-  Fabric.install_rule fab ~forwarder:fb ~chain_label:1 ~egress_label:3 ~stage:1
-    [ (Fabric.Vnf_instance o1, 1.) ];
-  Fabric.install_rule fab ~forwarder:fb ~chain_label:1 ~egress_label:3 ~stage:2
-    [ (Fabric.Edge eout, 1.) ];
+  let fab = Plane.create ~seed:7 ~flow_store:(Plane.Replicated 2) () in
+  let sa = Plane.add_site fab "A" in
+  let sb = Plane.add_site fab "B" in
+  let fa = Plane.add_forwarder fab ~site:sa in
+  let fb = Plane.add_forwarder fab ~site:sb in
+  let ein = Plane.add_edge fab ~site:sa ~forwarder:fa in
+  let eout = Plane.add_edge fab ~site:sb ~forwarder:fb in
+  let g1 = Plane.add_vnf_instance fab ~vnf:100 ~site:sa ~forwarder:fa () in
+  let o1 = Plane.add_vnf_instance fab ~vnf:200 ~site:sb ~forwarder:fb () in
+  Plane.install_rule fab ~forwarder:fa ~chain_label:1 ~egress_label:3 ~stage:0
+    [ (Plane.Vnf_instance g1, 1.) ];
+  Plane.install_rule fab ~forwarder:fa ~chain_label:1 ~egress_label:3 ~stage:1
+    [ (Plane.Forwarder fb, 1.) ];
+  Plane.install_rule fab ~forwarder:fb ~chain_label:1 ~egress_label:3 ~stage:1
+    [ (Plane.Vnf_instance o1, 1.) ];
+  Plane.install_rule fab ~forwarder:fb ~chain_label:1 ~egress_label:3 ~stage:2
+    [ (Plane.Edge eout, 1.) ];
   let rng = Sb_util.Rng.create 9 in
   for _ = 1 to 10 do
     let tuple = Packet.random_tuple rng in
-    (match Fabric.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:3 tuple with
+    (match Plane.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:3 tuple with
     | Ok trace ->
-      Alcotest.(check (list int)) "conformity" [ 100; 200 ] (Fabric.vnfs_in_trace fab trace)
-    | Error e -> Alcotest.failf "forward: %a" Fabric.pp_error e);
-    match Fabric.send_reverse fab ~egress:eout ~chain_label:1 ~egress_label:3 tuple with
+      Alcotest.(check (list int)) "conformity" [ 100; 200 ] (Plane.vnfs_in_trace fab trace)
+    | Error e -> Alcotest.failf "forward: %a" Plane.pp_error e);
+    match Plane.send_reverse fab ~egress:eout ~chain_label:1 ~egress_label:3 tuple with
     | Ok trace ->
       Alcotest.(check (list int)) "reverse conformity" [ 200; 100 ]
-        (Fabric.vnfs_in_trace fab trace)
-    | Error e -> Alcotest.failf "reverse: %a" Fabric.pp_error e
+        (Plane.vnfs_in_trace fab trace)
+    | Error e -> Alcotest.failf "reverse: %a" Plane.pp_error e
   done
 
 (* qcheck: random fabrics with a random chain spec; conformity, affinity and
@@ -599,10 +599,10 @@ let prop_safety_random_chains =
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Sb_util.Rng.create seed in
-      let fab = Fabric.create ~seed () in
+      let fab = Plane.create ~seed () in
       let nsites = 2 + Sb_util.Rng.int rng 3 in
-      let sites = Array.init nsites (fun i -> Fabric.add_site fab (string_of_int i)) in
-      let fwds = Array.map (fun s -> Fabric.add_forwarder fab ~site:s) sites in
+      let sites = Array.init nsites (fun i -> Plane.add_site fab (string_of_int i)) in
+      let fwds = Array.map (fun s -> Plane.add_forwarder fab ~site:s) sites in
       let chain_len = 1 + Sb_util.Rng.int rng 3 in
       (* VNF z lives at a random site with 1-3 instances. *)
       let vnf_sites = Array.init chain_len (fun _ -> Sb_util.Rng.int rng nsites) in
@@ -612,13 +612,13 @@ let prop_safety_random_chains =
             Array.init
               (1 + Sb_util.Rng.int rng 3)
               (fun _ ->
-                Fabric.add_vnf_instance fab ~vnf:(z + 10) ~site:sites.(s)
+                Plane.add_vnf_instance fab ~vnf:(z + 10) ~site:sites.(s)
                   ~forwarder:fwds.(s) ()))
       in
       let in_site = Sb_util.Rng.int rng nsites in
       let out_site = Sb_util.Rng.int rng nsites in
-      let ein = Fabric.add_edge fab ~site:sites.(in_site) ~forwarder:fwds.(in_site) in
-      let eout = Fabric.add_edge fab ~site:sites.(out_site) ~forwarder:fwds.(out_site) in
+      let ein = Plane.add_edge fab ~site:sites.(in_site) ~forwarder:fwds.(in_site) in
+      let eout = Plane.add_edge fab ~site:sites.(out_site) ~forwarder:fwds.(out_site) in
       (* Install rules: stage z at the forwarder of element z (edge fwd for
          stage 0); remote next hops via forwarder; receiver-side at the
          destination forwarder. *)
@@ -628,36 +628,36 @@ let prop_safety_random_chains =
         let dest_fwd, local_rule =
           if z = chain_len then
             ( fwds.(out_site),
-              [ (Fabric.Edge eout, 1.) ] )
+              [ (Plane.Edge eout, 1.) ] )
           else
             ( fwds.(vnf_sites.(z)),
               Array.to_list
-                (Array.map (fun i -> (Fabric.Vnf_instance i, 1.)) instances.(z)) )
+                (Array.map (fun i -> (Plane.Vnf_instance i, 1.)) instances.(z)) )
         in
         if sender = dest_fwd then
-          Fabric.install_rule fab ~forwarder:sender ~chain_label:1 ~egress_label:2 ~stage:z
+          Plane.install_rule fab ~forwarder:sender ~chain_label:1 ~egress_label:2 ~stage:z
             local_rule
         else begin
-          Fabric.install_rule fab ~forwarder:sender ~chain_label:1 ~egress_label:2 ~stage:z
-            [ (Fabric.Forwarder dest_fwd, 1.) ];
-          Fabric.install_rule fab ~forwarder:dest_fwd ~chain_label:1 ~egress_label:2 ~stage:z
+          Plane.install_rule fab ~forwarder:sender ~chain_label:1 ~egress_label:2 ~stage:z
+            [ (Plane.Forwarder dest_fwd, 1.) ];
+          Plane.install_rule fab ~forwarder:dest_fwd ~chain_label:1 ~egress_label:2 ~stage:z
             local_rule
         end
       done;
       let ok = ref true in
       for _ = 1 to 10 do
         let tuple = Packet.random_tuple rng in
-        match Fabric.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:2 tuple with
+        match Plane.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:2 tuple with
         | Error _ -> ok := false
         | Ok trace ->
           let expected = List.init chain_len (fun z -> z + 10) in
-          if Fabric.vnfs_in_trace fab trace <> expected then ok := false;
-          let insts = Fabric.instances_in_trace trace in
-          (match Fabric.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:2 tuple with
-          | Ok t2 -> if Fabric.instances_in_trace t2 <> insts then ok := false
+          if Plane.vnfs_in_trace fab trace <> expected then ok := false;
+          let insts = Plane.instances_in_trace trace in
+          (match Plane.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:2 tuple with
+          | Ok t2 -> if Plane.instances_in_trace t2 <> insts then ok := false
           | Error _ -> ok := false);
-          (match Fabric.send_reverse fab ~egress:eout ~chain_label:1 ~egress_label:2 tuple with
-          | Ok rt -> if Fabric.instances_in_trace rt <> List.rev insts then ok := false
+          (match Plane.send_reverse fab ~egress:eout ~chain_label:1 ~egress_label:2 tuple with
+          | Ok rt -> if Plane.instances_in_trace rt <> List.rev insts then ok := false
           | Error _ -> ok := false)
       done;
       !ok)
@@ -675,15 +675,15 @@ let prop_counter_window_semantics =
       let tb = build_testbed ~seed () in
       let rng = Sb_util.Rng.create seed in
       let counters stage =
-        Fabric.stage_counters tb.fab ~chain_label ~egress_label ~stage
+        Plane.stage_counters tb.fab ~chain_label ~egress_label ~stage
       in
       let site_sum stage =
-        let a, _ = Fabric.site_stage_counters tb.fab ~site:0 ~chain_label ~egress_label ~stage in
-        let b, _ = Fabric.site_stage_counters tb.fab ~site:1 ~chain_label ~egress_label ~stage in
+        let a, _ = Plane.site_stage_counters tb.fab ~site:0 ~chain_label ~egress_label ~stage in
+        let b, _ = Plane.site_stage_counters tb.fab ~site:1 ~chain_label ~egress_label ~stage in
         a + b
       in
       let tracked = Packet.random_tuple rng in
-      let affinity_before = Fabric.instances_in_trace (send_ok tb tracked) in
+      let affinity_before = Plane.instances_in_trace (send_ok tb tracked) in
       for _ = 2 to n1 do
         ignore (send_ok tb (Packet.random_tuple rng))
       done;
@@ -696,7 +696,7 @@ let prop_counter_window_semantics =
         if site_sum stage <> n1 then ok := false
       done;
       (* Reset: all stages read zero... *)
-      Fabric.reset_counters tb.fab;
+      Plane.reset_counters tb.fab;
       for stage = 0 to 2 do
         if counters stage <> (0, 0) then ok := false
       done;
@@ -712,7 +712,7 @@ let prop_counter_window_semantics =
         if site_sum stage <> n2 then ok := false
       done;
       (* Resetting counters must not touch flow state. *)
-      let affinity_after = Fabric.instances_in_trace (send_ok tb tracked) in
+      let affinity_after = Plane.instances_in_trace (send_ok tb tracked) in
       if affinity_after <> affinity_before then ok := false;
       !ok)
 
@@ -921,13 +921,13 @@ let test_counters_once_per_stage () =
   List.iter
     (fun (tuple, size) ->
       match
-        Fabric.send_forward tb.fab ~ingress:tb.ein ~chain_label ~egress_label ~size tuple
+        Plane.send_forward tb.fab ~ingress:tb.ein ~chain_label ~egress_label ~size tuple
       with
       | Ok _ -> ()
-      | Error e -> Alcotest.failf "forward: %a" Fabric.pp_error e)
+      | Error e -> Alcotest.failf "forward: %a" Plane.pp_error e)
     (Tgen.burst g sent);
   for stage = 0 to 2 do
-    let pkts, bytes = Fabric.stage_counters tb.fab ~chain_label ~egress_label ~stage in
+    let pkts, bytes = Plane.stage_counters tb.fab ~chain_label ~egress_label ~stage in
     Alcotest.(check int) (Printf.sprintf "stage %d packets" stage) sent pkts;
     Alcotest.(check int) (Printf.sprintf "stage %d bytes" stage) (sent * 500) bytes
   done
@@ -935,14 +935,14 @@ let test_counters_once_per_stage () =
 let test_counters_isolated_per_chain () =
   let tb = build_testbed () in
   ignore (send_ok tb tuple1);
-  let pkts, _ = Fabric.stage_counters tb.fab ~chain_label:99 ~egress_label ~stage:0 in
+  let pkts, _ = Plane.stage_counters tb.fab ~chain_label:99 ~egress_label ~stage:0 in
   Alcotest.(check int) "other chain unaffected" 0 pkts
 
 let test_counters_reset () =
   let tb = build_testbed () in
   ignore (send_ok tb tuple1);
-  Fabric.reset_counters tb.fab;
-  let pkts, bytes = Fabric.stage_counters tb.fab ~chain_label ~egress_label ~stage:0 in
+  Plane.reset_counters tb.fab;
+  let pkts, bytes = Plane.stage_counters tb.fab ~chain_label ~egress_label ~stage:0 in
   Alcotest.(check int) "packets reset" 0 pkts;
   Alcotest.(check int) "bytes reset" 0 bytes
 
@@ -1110,7 +1110,7 @@ module Legacy = Sb_dataplane.Legacy_fabric
 (* qcheck (the packed-dataplane oracle): identical random traffic, weight
    churn, rule reinstalls, flow teardown, OpenNF transfers and
    fail/revive/reattach faults driven through the seed implementation
-   ([Legacy_fabric]) and the packed plane ([Fabric] = [Plane]) produce
+   ([Legacy_fabric]) and the packed plane ([Plane]) produce
    identical delivery traces, errors, flow-table decisions and stage
    counters. Both fabrics are created with the same RNG seed, so any
    divergence in balancer draw *sequence* (not just distribution) fails
@@ -1121,7 +1121,7 @@ let prop_packed_plane_equivalence ~name store =
     (fun seed ->
       let rng = Sb_util.Rng.create (seed + 17) in
       let lf = Legacy.create ~seed ~flow_store:store () in
-      let pf = Fabric.create ~seed ~flow_store:store () in
+      let pf = Plane.create ~seed ~flow_store:store () in
       (* Entity ids come from the same fresh-counter discipline in both
          implementations, so mirrored build calls yield equal ids. *)
       let ok = ref true in
@@ -1130,7 +1130,7 @@ let prop_packed_plane_equivalence ~name store =
       let sites =
         Array.init nsites (fun i ->
             let a = Legacy.add_site lf (string_of_int i) in
-            let b = Fabric.add_site pf (string_of_int i) in
+            let b = Plane.add_site pf (string_of_int i) in
             check (a = b);
             a)
       in
@@ -1138,7 +1138,7 @@ let prop_packed_plane_equivalence ~name store =
         Array.map
           (fun s ->
             let a = Legacy.add_forwarder lf ~site:s in
-            let b = Fabric.add_forwarder pf ~site:s in
+            let b = Plane.add_forwarder pf ~site:s in
             check (a = b);
             a)
           sites
@@ -1156,7 +1156,7 @@ let prop_packed_plane_equivalence ~name store =
                     ~forwarder:fwds.(s) ()
                 in
                 let b =
-                  Fabric.add_vnf_instance pf ~vnf:(z + 10) ~site:sites.(s)
+                  Plane.add_vnf_instance pf ~vnf:(z + 10) ~site:sites.(s)
                     ~forwarder:fwds.(s) ()
                 in
                 check (a = b);
@@ -1165,16 +1165,16 @@ let prop_packed_plane_equivalence ~name store =
       let in_site = Sb_util.Rng.int rng nsites in
       let out_site = Sb_util.Rng.int rng nsites in
       let ein = Legacy.add_edge lf ~site:sites.(in_site) ~forwarder:fwds.(in_site) in
-      check (ein = Fabric.add_edge pf ~site:sites.(in_site) ~forwarder:fwds.(in_site));
+      check (ein = Plane.add_edge pf ~site:sites.(in_site) ~forwarder:fwds.(in_site));
       let eout = Legacy.add_edge lf ~site:sites.(out_site) ~forwarder:fwds.(out_site) in
-      check (eout = Fabric.add_edge pf ~site:sites.(out_site) ~forwarder:fwds.(out_site));
+      check (eout = Plane.add_edge pf ~site:sites.(out_site) ~forwarder:fwds.(out_site));
       let fwd_of_element z = if z = 0 then fwds.(in_site) else fwds.(vnf_sites.(z - 1)) in
       let stage_targets z =
-        if z = chain_len then [ (Fabric.Edge eout, 1.) ]
+        if z = chain_len then [ (Plane.Edge eout, 1.) ]
         else
           Array.to_list
             (Array.map
-               (fun i -> (Fabric.Vnf_instance i, 0.25 +. Sb_util.Rng.float rng 2.))
+               (fun i -> (Plane.Vnf_instance i, 0.25 +. Sb_util.Rng.float rng 2.))
                instances.(z))
       in
       let install z =
@@ -1183,17 +1183,17 @@ let prop_packed_plane_equivalence ~name store =
         let local_rule = stage_targets z in
         let put fwd rule =
           Legacy.install_rule lf ~forwarder:fwd ~chain_label:1 ~egress_label:2 ~stage:z rule;
-          Fabric.install_rule pf ~forwarder:fwd ~chain_label:1 ~egress_label:2 ~stage:z rule
+          Plane.install_rule pf ~forwarder:fwd ~chain_label:1 ~egress_label:2 ~stage:z rule
         in
         if sender = dest_fwd then put sender local_rule
         else begin
-          put sender [ (Fabric.Forwarder dest_fwd, 1.) ];
+          put sender [ (Plane.Forwarder dest_fwd, 1.) ];
           put dest_fwd local_rule;
           (* Receiver-side override at the destination, as the control
              plane installs it for cross-site stages. *)
           Legacy.install_rx_rule lf ~forwarder:dest_fwd ~chain_label:1 ~egress_label:2
             ~stage:z local_rule;
-          Fabric.install_rx_rule pf ~forwarder:dest_fwd ~chain_label:1 ~egress_label:2
+          Plane.install_rx_rule pf ~forwarder:dest_fwd ~chain_label:1 ~egress_label:2
             ~stage:z local_rule
         end
       in
@@ -1207,42 +1207,42 @@ let prop_packed_plane_equivalence ~name store =
         | 0 | 1 | 2 | 3 | 4 ->
           let tuple = pool.(Sb_util.Rng.int rng (Array.length pool)) in
           let a = Legacy.send_forward lf ~ingress:ein ~chain_label:1 ~egress_label:2 tuple in
-          let b = Fabric.send_forward pf ~ingress:ein ~chain_label:1 ~egress_label:2 tuple in
+          let b = Plane.send_forward pf ~ingress:ein ~chain_label:1 ~egress_label:2 tuple in
           check (a = b)
         | 5 | 6 ->
           let tuple = pool.(Sb_util.Rng.int rng (Array.length pool)) in
           let a = Legacy.send_reverse lf ~egress:eout ~chain_label:1 ~egress_label:2 tuple in
-          let b = Fabric.send_reverse pf ~egress:eout ~chain_label:1 ~egress_label:2 tuple in
+          let b = Plane.send_reverse pf ~egress:eout ~chain_label:1 ~egress_label:2 tuple in
           check (a = b)
         | 7 ->
           let tuple = pool.(Sb_util.Rng.int rng (Array.length pool)) in
           Legacy.end_flow lf tuple;
-          Fabric.end_flow pf tuple
+          Plane.end_flow pf tuple
         | 8 ->
           let i = all_insts.(Sb_util.Rng.int rng (Array.length all_insts)) in
           let w = 0.25 +. Sb_util.Rng.float rng 2. in
           Legacy.set_instance_weight lf i w;
-          Fabric.set_instance_weight pf i w
+          Plane.set_instance_weight pf i w
         | 9 -> install (Sb_util.Rng.int rng (chain_len + 1))
         | 10 ->
           let f = fwds.(Sb_util.Rng.int rng nsites) in
           if Legacy.forwarder_alive lf f then begin
             Legacy.fail_forwarder lf f;
-            Fabric.fail_forwarder pf f
+            Plane.fail_forwarder pf f
           end
           else begin
             Legacy.revive_forwarder lf f;
-            Fabric.revive_forwarder pf f
+            Plane.revive_forwarder pf f
           end
         | _ -> (
           let i = all_insts.(Sb_util.Rng.int rng (Array.length all_insts)) in
           if Legacy.instance_alive lf i then begin
             Legacy.fail_instance lf i;
-            Fabric.fail_instance pf i
+            Plane.fail_instance pf i
           end
           else begin
             Legacy.revive_instance lf i;
-            Fabric.revive_instance pf i
+            Plane.revive_instance pf i
           end;
           (* Occasionally an OpenNF transfer between same-VNF siblings. *)
           let z = Sb_util.Rng.int rng chain_len in
@@ -1251,59 +1251,59 @@ let prop_packed_plane_equivalence ~name store =
             let a = zi.(0) and b = zi.(1) in
             check
               (Legacy.transfer_flows lf ~from_instance:a ~to_instance:b
-              = Fabric.transfer_flows pf ~from_instance:a ~to_instance:b)
+              = Plane.transfer_flows pf ~from_instance:a ~to_instance:b)
           end)
       done;
       (* Final-state observables. *)
       Array.iter
         (fun f ->
           check
-            (Legacy.flow_table_size lf ~forwarder:f = Fabric.flow_table_size pf ~forwarder:f);
+            (Legacy.flow_table_size lf ~forwarder:f = Plane.flow_table_size pf ~forwarder:f);
           check
             (Legacy.attached_instances lf ~forwarder:f
-            = Fabric.attached_instances pf ~forwarder:f);
+            = Plane.attached_instances pf ~forwarder:f);
           for z = 0 to chain_len - 1 do
             let wa = Legacy.forwarder_published_weight lf f (z + 10) in
-            let wb = Fabric.forwarder_published_weight pf f (z + 10) in
+            let wb = Plane.forwarder_published_weight pf f (z + 10) in
             (* Summation order differs (hashtable fold vs id order); the
                documented caveat allows only float-associativity noise. *)
             check (Float.abs (wa -. wb) < 1e-9);
             check
               (Legacy.rule lf ~forwarder:f ~chain_label:1 ~egress_label:2 ~stage:z
-              = Fabric.rule pf ~forwarder:f ~chain_label:1 ~egress_label:2 ~stage:z)
+              = Plane.rule pf ~forwarder:f ~chain_label:1 ~egress_label:2 ~stage:z)
           done)
         fwds;
       for z = 0 to chain_len do
         check
           (Legacy.stage_counters lf ~chain_label:1 ~egress_label:2 ~stage:z
-          = Fabric.stage_counters pf ~chain_label:1 ~egress_label:2 ~stage:z);
+          = Plane.stage_counters pf ~chain_label:1 ~egress_label:2 ~stage:z);
         Array.iter
           (fun s ->
             check
               (Legacy.site_stage_counters lf ~site:s ~chain_label:1 ~egress_label:2 ~stage:z
-              = Fabric.site_stage_counters pf ~site:s ~chain_label:1 ~egress_label:2
+              = Plane.site_stage_counters pf ~site:s ~chain_label:1 ~egress_label:2
                   ~stage:z))
           sites
       done;
       !ok)
 
 let prop_packed_equivalence_local =
-  prop_packed_plane_equivalence ~name:"packed plane == seed fabric (Local)" Fabric.Local
+  prop_packed_plane_equivalence ~name:"packed plane == seed fabric (Local)" Plane.Local
 
 let prop_packed_equivalence_replicated =
   prop_packed_plane_equivalence
-    ~name:"packed plane == seed fabric (Replicated 2)" (Fabric.Replicated 2)
+    ~name:"packed plane == seed fabric (Replicated 2)" (Plane.Replicated 2)
 
 (* --------------------- sharded-fabric equivalence --------------------- *)
 
 module Shard = Sb_dataplane.Shard
 
-(* [Shard.error] = [Fabric.error], so one classifier serves both. Error
+(* [Shard.error] = [Plane.error], so one classifier serves both. Error
    payloads that name a VNF instance are balancer-draw-dependent (the
    plane pins the drawn instance before checking liveness), so the
    multi-lane property compares constructors only. *)
-let err_kind : Fabric.error -> int = function
-  | Fabric.No_rule _ -> 0
+let err_kind : Plane.error -> int = function
+  | Plane.No_rule _ -> 0
   | No_reverse_entry _ -> 1
   | Instance_down _ -> 2
   | Forwarder_down _ -> 3
@@ -1317,7 +1317,7 @@ let err_kind : Fabric.error -> int = function
    granularity and only the instance *choice* within a stage is a
    balancer draw), edge in/out, cross-site relay + rx rules. *)
 type shard_bed = {
-  sb_fabric : Fabric.t;
+  sb_fabric : Plane.t;
   sb_shard : Shard.t;
   sb_rng : Sb_util.Rng.t;
   sb_check : bool -> unit;
@@ -1332,21 +1332,21 @@ type shard_bed = {
 
 let build_shard_bed ~seed ~store ~lanes =
   let rng = Sb_util.Rng.create (seed + 17) in
-  let f = Fabric.create ~seed ~flow_store:store () in
+  let f = Plane.create ~seed ~flow_store:store () in
   let sf = Shard.create ~seed ~flow_store:store ~lanes () in
   let ok = ref true in
   let check b = if not b then ok := false in
   let nsites = 2 + Sb_util.Rng.int rng 3 in
   let sites =
     Array.init nsites (fun i ->
-        let a = Fabric.add_site f (string_of_int i) in
+        let a = Plane.add_site f (string_of_int i) in
         check (a = Shard.add_site sf (string_of_int i));
         a)
   in
   let fwds =
     Array.map
       (fun s ->
-        let a = Fabric.add_forwarder f ~site:s in
+        let a = Plane.add_forwarder f ~site:s in
         check (a = Shard.add_forwarder sf ~site:s);
         a)
       sites
@@ -1360,7 +1360,7 @@ let build_shard_bed ~seed ~store ~lanes =
           (1 + Sb_util.Rng.int rng 3)
           (fun _ ->
             let a =
-              Fabric.add_vnf_instance f ~vnf:(z + 10) ~site:sites.(s)
+              Plane.add_vnf_instance f ~vnf:(z + 10) ~site:sites.(s)
                 ~forwarder:fwds.(s) ()
             in
             check
@@ -1371,17 +1371,17 @@ let build_shard_bed ~seed ~store ~lanes =
   in
   let in_site = Sb_util.Rng.int rng nsites in
   let out_site = Sb_util.Rng.int rng nsites in
-  let ein = Fabric.add_edge f ~site:sites.(in_site) ~forwarder:fwds.(in_site) in
+  let ein = Plane.add_edge f ~site:sites.(in_site) ~forwarder:fwds.(in_site) in
   check (ein = Shard.add_edge sf ~site:sites.(in_site) ~forwarder:fwds.(in_site));
-  let eout = Fabric.add_edge f ~site:sites.(out_site) ~forwarder:fwds.(out_site) in
+  let eout = Plane.add_edge f ~site:sites.(out_site) ~forwarder:fwds.(out_site) in
   check (eout = Shard.add_edge sf ~site:sites.(out_site) ~forwarder:fwds.(out_site));
   let fwd_of_element z = if z = 0 then fwds.(in_site) else fwds.(vnf_sites.(z - 1)) in
   let stage_targets z =
-    if z = chain_len then [ (Fabric.Edge eout, 1.) ]
+    if z = chain_len then [ (Plane.Edge eout, 1.) ]
     else
       Array.to_list
         (Array.map
-           (fun i -> (Fabric.Vnf_instance i, 0.25 +. Sb_util.Rng.float rng 2.))
+           (fun i -> (Plane.Vnf_instance i, 0.25 +. Sb_util.Rng.float rng 2.))
            instances.(z))
   in
   let install z =
@@ -1390,14 +1390,14 @@ let build_shard_bed ~seed ~store ~lanes =
     (* One draw, applied to both implementations. *)
     let local_rule = stage_targets z in
     let put fwd rule =
-      Fabric.install_rule f ~forwarder:fwd ~chain_label:1 ~egress_label:2 ~stage:z rule;
+      Plane.install_rule f ~forwarder:fwd ~chain_label:1 ~egress_label:2 ~stage:z rule;
       Shard.install_rule sf ~forwarder:fwd ~chain_label:1 ~egress_label:2 ~stage:z rule
     in
     if sender = dest_fwd then put sender local_rule
     else begin
-      put sender [ (Fabric.Forwarder dest_fwd, 1.) ];
+      put sender [ (Plane.Forwarder dest_fwd, 1.) ];
       put dest_fwd local_rule;
-      Fabric.install_rx_rule f ~forwarder:dest_fwd ~chain_label:1 ~egress_label:2
+      Plane.install_rx_rule f ~forwarder:dest_fwd ~chain_label:1 ~egress_label:2
         ~stage:z local_rule;
       Shard.install_rx_rule sf ~forwarder:dest_fwd ~chain_label:1 ~egress_label:2
         ~stage:z local_rule
@@ -1429,27 +1429,27 @@ let check_shard_final_state bed =
   let f = bed.sb_fabric and sf = bed.sb_shard and check = bed.sb_check in
   Array.iter
     (fun fwd ->
-      check (Fabric.flow_table_size f ~forwarder:fwd = Shard.flow_table_size sf ~forwarder:fwd);
+      check (Plane.flow_table_size f ~forwarder:fwd = Shard.flow_table_size sf ~forwarder:fwd);
       let sc, _, _ = Shard.flow_table_stats sf ~forwarder:fwd in
       check (sc = Shard.flow_table_size sf ~forwarder:fwd);
-      check (Fabric.attached_instances f ~forwarder:fwd = Shard.attached_instances sf ~forwarder:fwd);
+      check (Plane.attached_instances f ~forwarder:fwd = Shard.attached_instances sf ~forwarder:fwd);
       for z = 0 to bed.sb_chain_len - 1 do
-        let wa = Fabric.forwarder_published_weight f fwd (z + 10) in
+        let wa = Plane.forwarder_published_weight f fwd (z + 10) in
         let wb = Shard.forwarder_published_weight sf fwd (z + 10) in
         check (Float.abs (wa -. wb) < 1e-9);
         check
-          (Fabric.rule f ~forwarder:fwd ~chain_label:1 ~egress_label:2 ~stage:z
+          (Plane.rule f ~forwarder:fwd ~chain_label:1 ~egress_label:2 ~stage:z
           = Shard.rule sf ~forwarder:fwd ~chain_label:1 ~egress_label:2 ~stage:z)
       done)
     bed.sb_fwds;
   for z = 0 to bed.sb_chain_len do
     check
-      (Fabric.stage_counters f ~chain_label:1 ~egress_label:2 ~stage:z
+      (Plane.stage_counters f ~chain_label:1 ~egress_label:2 ~stage:z
       = Shard.stage_counters sf ~chain_label:1 ~egress_label:2 ~stage:z);
     Array.iter
       (fun s ->
         check
-          (Fabric.site_stage_counters f ~site:s ~chain_label:1 ~egress_label:2 ~stage:z
+          (Plane.site_stage_counters f ~site:s ~chain_label:1 ~egress_label:2 ~stage:z
           = Shard.site_stage_counters sf ~site:s ~chain_label:1 ~egress_label:2 ~stage:z))
       bed.sb_sites
   done
@@ -1476,55 +1476,55 @@ let prop_shard_identity ~name store =
             | 0 | 1 | 2 | 3 | 4 ->
               let tuple = pool.(Sb_util.Rng.int rng (Array.length pool)) in
               check
-                (Fabric.send_forward f ~ingress:bed.sb_ein ~chain_label:1 ~egress_label:2
+                (Plane.send_forward f ~ingress:bed.sb_ein ~chain_label:1 ~egress_label:2
                    tuple
                 = Shard.send_forward sf ~ingress:bed.sb_ein ~chain_label:1 ~egress_label:2
                     tuple)
             | 5 | 6 ->
               let tuple = pool.(Sb_util.Rng.int rng (Array.length pool)) in
               check
-                (Fabric.send_reverse f ~egress:bed.sb_eout ~chain_label:1 ~egress_label:2
+                (Plane.send_reverse f ~egress:bed.sb_eout ~chain_label:1 ~egress_label:2
                    tuple
                 = Shard.send_reverse sf ~egress:bed.sb_eout ~chain_label:1 ~egress_label:2
                     tuple)
             | 7 ->
               let tuple = pool.(Sb_util.Rng.int rng (Array.length pool)) in
-              Fabric.end_flow f tuple;
+              Plane.end_flow f tuple;
               Shard.end_flow sf tuple
             | 8 ->
               let i = all_insts.(Sb_util.Rng.int rng (Array.length all_insts)) in
               let w = 0.25 +. Sb_util.Rng.float rng 2. in
-              Fabric.set_instance_weight f i w;
+              Plane.set_instance_weight f i w;
               Shard.set_instance_weight sf i w
             | 9 -> bed.sb_install (Sb_util.Rng.int rng (bed.sb_chain_len + 1))
             | 10 ->
               let fwd = bed.sb_fwds.(Sb_util.Rng.int rng (Array.length bed.sb_fwds)) in
-              if Fabric.forwarder_alive f fwd then begin
-                Fabric.fail_forwarder f fwd;
+              if Plane.forwarder_alive f fwd then begin
+                Plane.fail_forwarder f fwd;
                 Shard.fail_forwarder sf fwd
               end
               else begin
-                Fabric.revive_forwarder f fwd;
+                Plane.revive_forwarder f fwd;
                 Shard.revive_forwarder sf fwd
               end
             | _ -> (
               let i = all_insts.(Sb_util.Rng.int rng (Array.length all_insts)) in
-              if Fabric.instance_alive f i then begin
-                Fabric.fail_instance f i;
+              if Plane.instance_alive f i then begin
+                Plane.fail_instance f i;
                 Shard.fail_instance sf i
               end
               else begin
-                Fabric.revive_instance f i;
+                Plane.revive_instance f i;
                 Shard.revive_instance sf i
               end;
               let z = Sb_util.Rng.int rng bed.sb_chain_len in
               let zi = bed.sb_instances.(z) in
               if Array.length zi >= 2 then
                 check
-                  (Fabric.transfer_flows f ~from_instance:zi.(0) ~to_instance:zi.(1)
+                  (Plane.transfer_flows f ~from_instance:zi.(0) ~to_instance:zi.(1)
                   = Shard.transfer_flows sf ~from_instance:zi.(0) ~to_instance:zi.(1)))
           done;
-          (* The batch path at 1 lane is an inline [Fabric.drive] loop. *)
+          (* The batch path at 1 lane is an inline [Plane.drive] loop. *)
           let batch =
             Array.init 30 (fun _ -> pool.(Sb_util.Rng.int rng (Array.length pool)))
           in
@@ -1532,7 +1532,7 @@ let prop_shard_identity ~name store =
             Array.fold_left
               (fun acc tu ->
                 if
-                  Fabric.drive f ~ingress:bed.sb_ein ~chain_label:1 ~egress_label:2
+                  Plane.drive f ~ingress:bed.sb_ein ~chain_label:1 ~egress_label:2
                     ~size:100 tu
                 then acc + 1
                 else acc)
@@ -1565,11 +1565,11 @@ let prop_shard_equivalence ~name store =
           let f = bed.sb_fabric and sf = bed.sb_shard in
           let rng = bed.sb_rng and check = bed.sb_check in
           let pool = Array.init 6 (fun _ -> Packet.random_tuple rng) in
-          let stage_alive z = Fabric.instance_alive f bed.sb_instances.(z).(0) in
+          let stage_alive z = Plane.instance_alive f bed.sb_instances.(z).(0) in
           let compare_sends a b =
             match (a, b) with
             | Ok ta, Ok tb ->
-              check (Fabric.vnfs_in_trace f ta = Shard.vnfs_in_trace sf tb)
+              check (Plane.vnfs_in_trace f ta = Shard.vnfs_in_trace sf tb)
             | Error ea, Error eb -> check (err_kind ea = err_kind eb)
             | _ -> check false
           in
@@ -1581,37 +1581,37 @@ let prop_shard_equivalence ~name store =
                 | 0 | 1 | 2 | 3 | 4 ->
                   let tuple = pool.(Sb_util.Rng.int rng (Array.length pool)) in
                   compare_sends
-                    (Fabric.send_forward f ~ingress:bed.sb_ein ~chain_label:1
+                    (Plane.send_forward f ~ingress:bed.sb_ein ~chain_label:1
                        ~egress_label:2 tuple)
                     (Shard.send_forward sf ~ingress:bed.sb_ein ~chain_label:1
                        ~egress_label:2 tuple)
                 | 5 | 6 ->
                   let tuple = pool.(Sb_util.Rng.int rng (Array.length pool)) in
                   compare_sends
-                    (Fabric.send_reverse f ~egress:bed.sb_eout ~chain_label:1
+                    (Plane.send_reverse f ~egress:bed.sb_eout ~chain_label:1
                        ~egress_label:2 tuple)
                     (Shard.send_reverse sf ~egress:bed.sb_eout ~chain_label:1
                        ~egress_label:2 tuple)
                 | 7 ->
                   let tuple = pool.(Sb_util.Rng.int rng (Array.length pool)) in
-                  Fabric.end_flow f tuple;
+                  Plane.end_flow f tuple;
                   Shard.end_flow sf tuple
                 | 8 ->
                   let z = Sb_util.Rng.int rng bed.sb_chain_len in
                   let zi = bed.sb_instances.(z) in
                   let i = zi.(Sb_util.Rng.int rng (Array.length zi)) in
                   let w = 0.25 +. Sb_util.Rng.float rng 2. in
-                  Fabric.set_instance_weight f i w;
+                  Plane.set_instance_weight f i w;
                   Shard.set_instance_weight sf i w
                 | 9 -> bed.sb_install (Sb_util.Rng.int rng (bed.sb_chain_len + 1))
                 | 10 ->
                   let fwd = bed.sb_fwds.(Sb_util.Rng.int rng (Array.length bed.sb_fwds)) in
-                  if Fabric.forwarder_alive f fwd then begin
-                    Fabric.fail_forwarder f fwd;
+                  if Plane.forwarder_alive f fwd then begin
+                    Plane.fail_forwarder f fwd;
                     Shard.fail_forwarder sf fwd
                   end
                   else begin
-                    Fabric.revive_forwarder f fwd;
+                    Plane.revive_forwarder f fwd;
                     Shard.revive_forwarder sf fwd
                   end
                 | _ ->
@@ -1622,8 +1622,8 @@ let prop_shard_equivalence ~name store =
                   let z = Sb_util.Rng.int rng bed.sb_chain_len in
                   let zi = bed.sb_instances.(z) in
                   let toggle =
-                    if stage_alive z then (Fabric.fail_instance, Shard.fail_instance)
-                    else (Fabric.revive_instance, Shard.revive_instance)
+                    if stage_alive z then (Plane.fail_instance, Shard.fail_instance)
+                    else (Plane.revive_instance, Shard.revive_instance)
                   in
                   Array.iter
                     (fun i ->
@@ -1631,7 +1631,7 @@ let prop_shard_equivalence ~name store =
                       (snd toggle) sf i)
                     zi;
                   if Array.length zi >= 2 && Sb_util.Rng.int rng 2 = 0 then begin
-                    ignore (Fabric.transfer_flows f ~from_instance:zi.(0) ~to_instance:zi.(1));
+                    ignore (Plane.transfer_flows f ~from_instance:zi.(0) ~to_instance:zi.(1));
                     ignore (Shard.transfer_flows sf ~from_instance:zi.(0) ~to_instance:zi.(1))
                   end
               done;
@@ -1645,7 +1645,7 @@ let prop_shard_equivalence ~name store =
                 Array.fold_left
                   (fun acc tu ->
                     if
-                      Fabric.drive f ~ingress:bed.sb_ein ~chain_label:1 ~egress_label:2
+                      Plane.drive f ~ingress:bed.sb_ein ~chain_label:1 ~egress_label:2
                         ~size:100 tu
                     then acc + 1
                     else acc)
@@ -1660,19 +1660,19 @@ let prop_shard_equivalence ~name store =
         [ 1; 2; 4 ])
 
 let prop_shard_identity_local =
-  prop_shard_identity ~name:"1-lane shard == packed plane, bit-exact (Local)" Fabric.Local
+  prop_shard_identity ~name:"1-lane shard == packed plane, bit-exact (Local)" Plane.Local
 
 let prop_shard_identity_replicated =
   prop_shard_identity
-    ~name:"1-lane shard == packed plane, bit-exact (Replicated 2)" (Fabric.Replicated 2)
+    ~name:"1-lane shard == packed plane, bit-exact (Replicated 2)" (Plane.Replicated 2)
 
 let prop_shard_equivalence_local =
   prop_shard_equivalence
-    ~name:"sharded fabric == oracle, D in {1,2,4} (Local)" Fabric.Local
+    ~name:"sharded fabric == oracle, D in {1,2,4} (Local)" Plane.Local
 
 let prop_shard_equivalence_replicated =
   prop_shard_equivalence
-    ~name:"sharded fabric == oracle, D in {1,2,4} (Replicated 2)" (Fabric.Replicated 2)
+    ~name:"sharded fabric == oracle, D in {1,2,4} (Replicated 2)" (Plane.Replicated 2)
 
 let () =
   Alcotest.run "sb_dataplane"

@@ -1,6 +1,6 @@
 module W = Sb_net.Workload
 module Tg = Sb_dataplane.Traffic_gen
-module Fabric = Sb_dataplane.Fabric
+module Plane = Sb_dataplane.Plane
 module Schedule = Sb_chaos.Schedule
 module Rng = Sb_util.Rng
 
@@ -206,36 +206,36 @@ let test_schedule_combinators () =
    swept once the clock advances past the idle bound — except those a
    later packet refreshed — and the table count drops accordingly. *)
 let test_plane_expiry () =
-  let fab = Fabric.create ~seed:7 () in
-  let sa = Fabric.add_site fab "A" in
-  let fa = Fabric.add_forwarder fab ~site:sa in
-  let ein = Fabric.add_edge fab ~site:sa ~forwarder:fa in
-  let eout = Fabric.add_edge fab ~site:sa ~forwarder:fa in
-  Fabric.install_rule fab ~forwarder:fa ~chain_label:1 ~egress_label:0 ~stage:0
-    [ (Fabric.Edge eout, 1.0) ];
+  let fab = Plane.create ~seed:7 () in
+  let sa = Plane.add_site fab "A" in
+  let fa = Plane.add_forwarder fab ~site:sa in
+  let ein = Plane.add_edge fab ~site:sa ~forwarder:fa in
+  let eout = Plane.add_edge fab ~site:sa ~forwarder:fa in
+  Plane.install_rule fab ~forwarder:fa ~chain_label:1 ~egress_label:0 ~stage:0
+    [ (Plane.Edge eout, 1.0) ];
   let rng = Rng.create 3 in
   let tuples = Array.init 50 (fun _ -> Sb_dataplane.Packet.random_tuple rng) in
-  Fabric.set_clock fab 0;
+  Plane.set_clock fab 0;
   Array.iter
     (fun tp ->
       Alcotest.(check bool) "delivered" true
-        (Fabric.drive fab ~ingress:ein ~chain_label:1 ~egress_label:0 ~size:64 tp))
+        (Plane.drive fab ~ingress:ein ~chain_label:1 ~egress_label:0 ~size:64 tp))
     tuples;
-  let count0 = Fabric.flow_table_size fab ~forwarder:fa in
+  let count0 = Plane.flow_table_size fab ~forwarder:fa in
   Alcotest.(check int) "one entry per flow" 50 count0;
   (* Refresh 10 flows at clock 2, then sweep everything idle since 0. *)
-  Fabric.set_clock fab 2;
+  Plane.set_clock fab 2;
   for i = 0 to 9 do
-    ignore (Fabric.drive fab ~ingress:ein ~chain_label:1 ~egress_label:0 ~size:64 tuples.(i))
+    ignore (Plane.drive fab ~ingress:ein ~chain_label:1 ~egress_label:0 ~size:64 tuples.(i))
   done;
-  let evicted = Fabric.expire_flows fab ~idle_before:2 in
+  let evicted = Plane.expire_flows fab ~idle_before:2 in
   Alcotest.(check int) "evicted the 40 idle flows" 40 evicted;
-  Alcotest.(check int) "survivors" 10 (Fabric.flow_table_size fab ~forwarder:fa);
+  Alcotest.(check int) "survivors" 10 (Plane.flow_table_size fab ~forwarder:fa);
   (* Survivors still forward without a rule lookup miss, and a second
      sweep at the same bound finds nothing. *)
   Alcotest.(check bool) "survivor still routed" true
-    (Fabric.drive fab ~ingress:ein ~chain_label:1 ~egress_label:0 ~size:64 tuples.(0));
-  Alcotest.(check int) "idempotent sweep" 0 (Fabric.expire_flows fab ~idle_before:2)
+    (Plane.drive fab ~ingress:ein ~chain_label:1 ~egress_label:0 ~size:64 tuples.(0));
+  Alcotest.(check int) "idempotent sweep" 0 (Plane.expire_flows fab ~idle_before:2)
 
 let () =
   Alcotest.run "sb_net.workload"
