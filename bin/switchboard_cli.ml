@@ -53,6 +53,14 @@ let scheme =
 let verbose =
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc:"Print each chain's route.")
 
+let smoke =
+  Arg.(
+    value & flag
+    & info [ "smoke" ]
+        ~doc:
+          "Run the small smoke-scale config (the one the test goldens pin) instead of \
+           the full-scale one.")
+
 let file =
   Arg.(
     value
@@ -447,12 +455,6 @@ let chaos_cmd =
 
 let scenarios_cmd =
   let module Scenario = Sb_adapt.Scenario in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Start from the CI-sized smoke config instead of the full-scale one.")
-  in
   let ticks =
     Arg.(
       value
@@ -542,12 +544,6 @@ let scenarios_cmd =
 
 let anycast_cmd =
   let module Scenario = Sb_adapt.Scenario in
-  let smoke =
-    Arg.(
-      value & flag
-      & info [ "smoke" ]
-          ~doc:"Start from the CI-sized smoke config instead of the full-scale one.")
-  in
   let ticks =
     Arg.(
       value
@@ -603,21 +599,316 @@ let anycast_cmd =
           Switchboard is down. Deterministic: same seed, same output.")
     term
 
+(* ---------------------------- placement ---------------------------- *)
+
+let placement_cmd =
+  let module Scenario = Sb_adapt.Scenario in
+  let module Table = Sb_util.Table in
+  (* The placement experiment (DESIGN.md section 16): diurnal drift plus a
+     flash crowd on one PoP, on the sparse two-deployments-per-VNF
+     footprint. Route-only closed loop vs the same loop with the Place
+     planner armed vs the oracle (the identical loop with the
+     perfect-knowledge placements provisioned in advance), so the headline
+     ratio reads as "how much of perfect advance provisioning does elastic
+     placement recover online". Fully deterministic. *)
+  let run smoke =
+    let scale = if smoke then "smoke" else "full" in
+    (* The smoke grid stretches to 12 ticks: the planner needs its observe
+       window plus a rollout epoch before an open carries traffic, and an
+       8-tick run would end the flash crowd before the second open lands. *)
+    let cfg =
+      if smoke then { Scenario.smoke_config with Scenario.ticks = 12 }
+      else Scenario.default_config
+    in
+    let flash_lo, flash_hi = Scenario.flash_window cfg in
+    Printf.printf "config: %s (seed=%d ticks=%d chains=%d lanes=%d flash=[%d,%d))\n"
+      scale cfg.Scenario.seed cfg.Scenario.ticks cfg.Scenario.num_chains
+      cfg.Scenario.lanes flash_lo flash_hi;
+    let points = Scenario.placement_sweep cfg in
+    let t =
+      Table.create ~header:[ "arm"; "mean"; "flash"; "rerouted"; "scale actions" ]
+    in
+    List.iter
+      (fun (p : Scenario.placement_point) ->
+        Table.add_row t
+          [
+            p.Scenario.pl_arm;
+            Printf.sprintf "%.1f" p.Scenario.pl_mean;
+            Printf.sprintf "%.1f" p.Scenario.pl_flash;
+            string_of_int p.Scenario.pl_rerouted;
+            string_of_int p.Scenario.pl_scale_actions;
+          ])
+      points;
+    Table.print t;
+    let find arm =
+      List.find (fun (p : Scenario.placement_point) -> p.Scenario.pl_arm = arm) points
+    in
+    let ro = find "route-only" and pl = find "placement" and orc = find "oracle" in
+    (* The planner's own worst case: one action per cooldown cycle, opens
+       plus the drains that close them. *)
+    let churn_budget = 2 * Sb_adapt.Place.default_params.Sb_adapt.Place.max_extra in
+    Printf.printf
+      "flash window: route-only %.1f, placement %.1f, oracle %.1f -> placement holds \
+       %.1f%% of oracle (route-only %.1f%%); %d scale actions (budget %d)\n"
+      ro.Scenario.pl_flash pl.Scenario.pl_flash orc.Scenario.pl_flash
+      (100. *. pl.Scenario.pl_flash /. orc.Scenario.pl_flash)
+      (100. *. ro.Scenario.pl_flash /. orc.Scenario.pl_flash)
+      pl.Scenario.pl_scale_actions churn_budget;
+    0
+  in
+  Cmd.v
+    (Cmd.info "placement"
+       ~doc:
+         "Elastic placement under a one-PoP flash crowd on the 25-site backbone: \
+          route-only closed loop vs. the loop with the placement planner vs. the \
+          oracle provisioned in advance. Deterministic.")
+    Term.(const run $ smoke)
+
+(* ----------------------------- compile ----------------------------- *)
+
+let compile_cmd =
+  let module Table = Sb_util.Table in
+  let module Ct = Sb_ctrl.Types in
+  let module Csys = Sb_ctrl.System in
+  let module Compile = Sb_ctrl.Compile in
+  let module Eng = Sb_sim.Engine in
+  (* Two measurements, both fully deterministic (no wall clocks):
+
+     1. Diagram scale: compile N templated chains (route/spec templates
+        model a fleet of cloned service chains) into the hash-consed
+        interner and price a 2%-churn epoch — the bytes a delta Prepare
+        ships vs a full one, using the Types.msg_size wire model.
+
+     2. Rollout latency: a live System under a byte-priced bus
+        (bus_bandwidth), Delta vs Full rollout — simulated commit latency
+        and wide-area bytes of one route update as the committed chain
+        population grows. *)
+  let run smoke =
+    let counts = if smoke then [ 1_000; 10_000 ] else [ 10_000; 100_000; 1_000_000 ] in
+    let nsites = 25 in
+    let vnf_of k = k mod 8 in
+    (* Template pool: 64 spec shapes x route patterns keyed by chain id —
+       a fleet of cloned service chains, the regime where hash-consing
+       shares VNF suffixes across chains. *)
+    let spec_of id =
+      let tpl = id mod 64 in
+      let nvnfs = 5 + (tpl mod 4) in
+      {
+        Ct.spec_name = "tpl";
+        ingress_attachment = "in";
+        egress_attachment = "out";
+        vnfs = List.init nvnfs (fun i -> vnf_of (tpl + i));
+        traffic = 1.0;
+      }
+    in
+    (* [churn = true] is the epoch's incremental update: only the LAST
+       VNF's site moves (one admission-demand row, two adjacent stages). *)
+    let routes_of id ~churn =
+      let sp = spec_of id in
+      let last = List.length sp.Ct.vnfs - 1 in
+      let mk o w =
+        {
+          Ct.element_sites =
+            Array.of_list
+              ((id mod nsites)
+               :: List.mapi
+                    (fun i v ->
+                      (v + o + i + if churn && i = last then 1 else 0) mod nsites)
+                    sp.Ct.vnfs
+              @ [ (id + 1) mod nsites ]);
+          weight = w;
+        }
+      in
+      [ mk 0 0.4; mk 3 0.3; mk 6 0.2; mk 9 0.1 ]
+    in
+    let t =
+      Table.create
+        ~header:
+          [ "chains"; "nodes"; "actions"; "stages"; "sharing"; "ruleset B";
+            "churn B"; "ratio" ]
+    in
+    List.iter
+      (fun n ->
+        let c = ref (Compile.empty ()) in
+        for id = 0 to n - 1 do
+          let p =
+            Compile.prepare !c ~chain:id ~spec:(spec_of id)
+              ~routes:(routes_of id ~churn:false)
+          in
+          c := Compile.commit !c ~chain:id p
+        done;
+        let st = Compile.stats !c in
+        (* A 2%-churn epoch under delta rollout broadcasts one Route_delta
+           per churned chain; the full-reinstall baseline re-broadcasts
+           every chain's Route_update. Both priced by the wire model. *)
+        let ruleset_b = ref 0 and churn_b = ref 0 in
+        for id = 0 to n - 1 do
+          let spec = spec_of id in
+          ruleset_b :=
+            !ruleset_b
+            + Ct.msg_size
+                (Ct.Route_update
+                   { chain = id; egress_label = 0; spec;
+                     routes = routes_of id ~churn:false; version = 0 });
+          if id mod 50 = 0 then begin
+            let routes = routes_of id ~churn:true in
+            let p = Compile.prepare !c ~chain:id ~spec ~routes in
+            let d = Compile.delta_from_committed !c p in
+            churn_b :=
+              !churn_b
+              + Ct.msg_size
+                  (Ct.Route_delta { chain = id; egress_label = 0; spec; delta = d })
+          end
+        done;
+        let sharing = float_of_int st.Compile.nodes /. float_of_int st.Compile.stages_total in
+        Table.add_row t
+          [
+            string_of_int n;
+            string_of_int st.Compile.nodes;
+            string_of_int st.Compile.actions;
+            string_of_int st.Compile.stages_total;
+            Printf.sprintf "%.4f" sharing;
+            string_of_int !ruleset_b;
+            string_of_int !churn_b;
+            Printf.sprintf "%.4f" (float_of_int !churn_b /. float_of_int !ruleset_b);
+          ])
+      counts;
+    Table.print t;
+    (* Part 2: live rollout, Delta vs Full. Each VNF controller homes at a
+       distinct site so the 2PC crosses the wide area, and the bus prices
+       serialization by bytes (10 kB/s), so payload size is visible in the
+       commit latency. The update moves only the last VNF — the localized
+       churn the delta encodes in O(changed stages). *)
+    let sys_counts = if smoke then [ 10; 25 ] else [ 10; 50; 200 ] in
+    let delay a b = if a = b then 0. else 0.030 in
+    let chain_vnfs i = List.init 8 (fun k -> (i + k) mod 3) in
+    let routes_for sp ~churn =
+      let last = List.length sp.Ct.vnfs - 1 in
+      let mk o w =
+        {
+          Ct.element_sites =
+            Array.of_list
+              ((0
+               :: List.mapi
+                    (fun i v ->
+                      (v + o + i + if churn && i = last then 1 else 0) mod 4)
+                    sp.Ct.vnfs)
+              @ [ 3 ]);
+          weight = w;
+        }
+      in
+      [ mk 0 0.25; mk 1 0.25; mk 2 0.25; mk 3 0.25 ]
+    in
+    let run_rollout rollout n =
+      let sys =
+        Csys.create ~num_sites:4 ~delay ~gsb_site:0 ~rollout ~bus_bandwidth:10_000. ()
+      in
+      for v = 0 to 2 do
+        (* first deployment site = controller home: spread off the GSB *)
+        Csys.deploy_vnf sys ~vnf:v ~site:(v + 1) ~capacity:1e9 ~instances:2
+      done;
+      for site = 0 to 3 do
+        for v = 0 to 2 do
+          Csys.deploy_vnf sys ~vnf:v ~site ~capacity:1e9 ~instances:2
+        done;
+        Csys.register_edge sys ~site ~attachment:(Printf.sprintf "a%d" site)
+      done;
+      Csys.set_route_policy sys (fun sp ~exclude:_ -> Some (routes_for sp ~churn:false));
+      let chains =
+        List.init n (fun i ->
+            let c =
+              Csys.request_chain sys
+                {
+                  Ct.spec_name = Printf.sprintf "c%d" i;
+                  ingress_attachment = "a0";
+                  egress_attachment = "a3";
+                  vnfs = chain_vnfs i;
+                  traffic = 0.1;
+                }
+            in
+            Eng.run (Csys.engine sys);
+            c)
+      in
+      Sb_msgbus.Bus.reset_stats (Csys.bus sys);
+      let chain = List.nth chains (n / 2) in
+      let spec = Option.get (Csys.chain_spec sys ~chain) in
+      let t0 = Eng.now (Csys.engine sys) in
+      Csys.update_routes sys ~chain (routes_for spec ~churn:true);
+      Eng.run (Csys.engine sys);
+      let commit_at =
+        List.find_map
+          (fun (ts, m) ->
+            if ts >= t0 && String.length m >= 15 && String.sub m 0 15 = "gsb: 2pc commit"
+            then Some ts
+            else None)
+          (Csys.log sys)
+      in
+      let commit_latency =
+        match commit_at with
+        | Some ts -> ts -. t0
+        | None -> Eng.now (Csys.engine sys) -. t0
+      in
+      let stats = Sb_msgbus.Bus.stats (Csys.bus sys) in
+      (commit_latency, stats.Sb_msgbus.Bus.wan_bytes)
+    in
+    let t2 =
+      Table.create
+        ~header:
+          [ "chains"; "delta commit ms"; "full commit ms"; "delta wan B"; "full wan B" ]
+    in
+    List.iter
+      (fun n ->
+        let dl, db = run_rollout Csys.Delta_rollout n in
+        let fl, fb = run_rollout Csys.Full_rollout n in
+        Table.add_row t2
+          [
+            string_of_int n;
+            Printf.sprintf "%.1f" (1000. *. dl);
+            Printf.sprintf "%.1f" (1000. *. fl);
+            string_of_int db;
+            string_of_int fb;
+          ])
+      sys_counts;
+    Table.print t2;
+    0
+  in
+  Cmd.v
+    (Cmd.info "compile"
+       ~doc:
+         "Compiled delta rollout: decision-diagram sharing and churn-epoch bytes vs. \
+          chain count under the wire model, then Delta vs. Full 2PC commit latency \
+          and wide-area bytes on a live 4-site system. Deterministic.")
+    Term.(const run $ smoke)
+
 let () =
   let info =
     Cmd.info "switchboard_cli" ~version:"1.0"
       ~doc:"Wide-area service chaining traffic engineering (Switchboard reproduction)."
   in
+  let cmd =
+    Cmd.group info
+      [
+        route_cmd;
+        compare_cmd;
+        adapt_cmd;
+        plan_cloud_cmd;
+        plan_vnf_cmd;
+        chaos_cmd;
+        scenarios_cmd;
+        anycast_cmd;
+        placement_cmd;
+        compile_cmd;
+      ]
+  in
+  (* A subcommand rejects a bad option value with Invalid_argument: report
+     it as a usage error, not as an internal one. *)
   exit
-    (Cmd.eval'
-       (Cmd.group info
-          [
-            route_cmd;
-            compare_cmd;
-            adapt_cmd;
-            plan_cloud_cmd;
-            plan_vnf_cmd;
-            chaos_cmd;
-            scenarios_cmd;
-            anycast_cmd;
-          ]))
+    (match Cmd.eval' ~catch:false cmd with
+    | code -> code
+    | exception Invalid_argument msg ->
+      prerr_endline ("switchboard_cli: " ^ msg);
+      2
+    | exception e ->
+      prerr_endline
+        ("switchboard_cli: internal error, uncaught exception: " ^ Printexc.to_string e);
+      Cmd.Exit.internal_error)

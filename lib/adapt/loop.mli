@@ -92,7 +92,7 @@ type run_result = {
   total_scale_actions : int;
       (** deployment scale-outs plus scale-ins the placement planner
           emitted over the run (0 unless the placement capability is
-          armed) — the churn figure BENCH_placement.json pins *)
+          armed) — the churn figure test/placement.golden pins *)
 }
 
 val diurnal_demand :

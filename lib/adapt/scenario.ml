@@ -55,8 +55,6 @@ type metrics = {
   m_satisfied : float;
   m_oracle : float;
   m_ratio : float;
-  m_wall : float;
-  m_pps : float;
 }
 
 let backbone25 cfg =
@@ -599,7 +597,7 @@ let apply_faults fab ~time = function
         | _ -> ())
       sched.Schedule.faults
 
-let run_dataplane ~clock cfg model w faults =
+let run_dataplane cfg model w faults =
   let fab = build_fabric cfg model in
   let shard = fab.fb_shard in
   let n = Model.num_chains model in
@@ -610,7 +608,6 @@ let run_dataplane ~clock cfg model w faults =
   in
   let dem = Array.make n 0. in
   let packets = ref 0 and delivered = ref 0 and expired = ref 0 and peak = ref 0 in
-  let t0 = clock () in
   for e = 0 to cfg.ticks - 1 do
     apply_faults fab ~time:(float_of_int e *. cfg.epoch_len) faults;
     Shard.set_clock shard e;
@@ -654,7 +651,6 @@ let run_dataplane ~clock cfg model w faults =
     let occ = total_entries shard fab.fb_fwd in
     if occ > !peak then peak := occ
   done;
-  let wall = clock () -. t0 in
   let final_entries = total_entries shard fab.fb_fwd in
   Shard.shutdown shard;
   let unroutable =
@@ -662,13 +658,13 @@ let run_dataplane ~clock cfg model w faults =
   in
   let distinct = Array.fold_left (fun a g -> a + Tg.distinct_flows g) 0 gens in
   let live = Array.fold_left (fun a g -> a + Tg.live_flows g) 0 gens in
-  (!packets, !delivered, distinct, live, !peak, final_entries, !expired, unroutable, wall)
+  (!packets, !delivered, distinct, live, !peak, final_entries, !expired, unroutable)
 
 (* ------------------------------ matrix ------------------------------- *)
 
-let run_one ?(clock = fun () -> 0.) cfg model (name, w, faults) =
-  let packets, delivered, distinct, live, peak, final, expired, unroutable, wall =
-    run_dataplane ~clock cfg model w faults
+let run_one cfg model (name, w, faults) =
+  let packets, delivered, distinct, live, peak, final, expired, unroutable =
+    run_dataplane cfg model w faults
   in
   let satisfied, oracle, p99, bus_delivered = run_control cfg model w faults in
   {
@@ -686,11 +682,9 @@ let run_one ?(clock = fun () -> 0.) cfg model (name, w, faults) =
     m_satisfied = satisfied;
     m_oracle = oracle;
     m_ratio = (if oracle > 0. then satisfied /. oracle else 1.);
-    m_wall = wall;
-    m_pps = (if wall > 0. then float_of_int packets /. wall else 0.);
   }
 
-let run_matrix ?clock ?names cfg =
+let run_matrix ?names cfg =
   let model = backbone25 cfg in
   let entries = catalog cfg model in
   let entries =
@@ -698,7 +692,7 @@ let run_matrix ?clock ?names cfg =
     | None -> entries
     | Some wanted -> List.filter (fun (n, _, _) -> List.mem n wanted) entries
   in
-  List.map (run_one ?clock cfg model) entries
+  List.map (run_one cfg model) entries
 
 let pp_metrics ppf m =
   Format.fprintf ppf

@@ -20,9 +20,8 @@
       while the live window — and so the table occupancy — stays
       bounded.
 
-    Everything except wall-clock throughput is a pure function of the
-    config: two runs with the same config produce bit-identical
-    metrics. *)
+    Every metric is a pure function of the config: two runs with the
+    same config produce bit-identical metrics. *)
 
 type config = {
   seed : int;
@@ -65,8 +64,6 @@ type metrics = {
   m_satisfied : float;  (** mean per-epoch satisfied demand, closed loop *)
   m_oracle : float;  (** same, oracle arm *)
   m_ratio : float;  (** satisfied / oracle (1.0 when oracle is 0) *)
-  m_wall : float;  (** dataplane wall-clock seconds (0 without [clock]) *)
-  m_pps : float;  (** packets / wall (0 without [clock]) *)
 }
 
 val backbone25 : config -> Sb_core.Model.t
@@ -173,18 +170,15 @@ val pp_placement_point : Format.formatter -> placement_point -> unit
 (** One deterministic line per point — the CI-diffable form. *)
 
 val run_one :
-  ?clock:(unit -> float) ->
   config ->
   Sb_core.Model.t ->
   string * Sb_net.Workload.t * Sb_chaos.Schedule.t option ->
   metrics
-(** Run one catalog entry end to end. [clock] (e.g.
-    [Unix.gettimeofday]) enables the wall-clock fields; without it they
-    are 0 and the result is fully deterministic. *)
+(** Run one catalog entry end to end. *)
 
-val run_matrix : ?clock:(unit -> float) -> ?names:string list -> config -> metrics list
+val run_matrix : ?names:string list -> config -> metrics list
 (** Build the backbone once and run the (optionally filtered) catalog. *)
 
 val pp_metrics : Format.formatter -> metrics -> unit
-(** Deterministic fields only (no wall clock / pps) — the form the CLI
-    prints so CI can diff two runs byte-for-byte. *)
+(** Every field, one line per layer — the form the CLI prints and
+    [test/scenarios.golden] pins byte for byte. *)

@@ -79,13 +79,6 @@ let add_path t ~chain ~nodes ~frac =
     else append st ~src ~dst ~frac
   done
 
-let single_path m path_of_chain =
-  let t = create m in
-  for c = 0 to Model.num_chains m - 1 do
-    add_path t ~chain:c ~nodes:(path_of_chain c) ~frac:1.0
-  done;
-  t
-
 let close_enough a b = Float.abs (a -. b) < 1e-6
 
 let validate t =
@@ -186,11 +179,6 @@ let max_alpha_into state t =
   Load_state.reset state;
   commit_into state t;
   Load_state.max_alpha state
-
-let supported_throughput t =
-  let a = max_alpha t in
-  if a = infinity then infinity
-  else a *. (Model.total_demand (model t) *. Instance.scale t.inst)
 
 let latency_terms ?(alpha = 1.0) ?(vnf_service_time = 0.001) ~with_queueing t =
   let inst = t.inst in

@@ -35,9 +35,6 @@ val add_path : t -> chain:int -> nodes:int array -> frac:float -> unit
     (length [chain_length + 2]: ingress, one node per VNF, egress).
     Raises [Invalid_argument] on a length mismatch. *)
 
-val single_path : Model.t -> (int -> int array) -> t
-(** [single_path m path_of_chain] routes every chain fully along one path. *)
-
 val validate : t -> (unit, string) result
 (** Check that for every chain: stage-0 fractions sum to 1, flow is
     conserved at every intermediate element/site, flows connect only valid
@@ -57,10 +54,6 @@ val max_alpha_into : Load_state.t -> t -> float
     the result is bit-identical) and reads the bottleneck. No allocation.
     Raises [Invalid_argument] unless the state was compiled from this
     routing's instance (physical equality). *)
-
-val supported_throughput : t -> float
-(** [max_alpha * total model demand] — the absolute supported throughput
-    reported in Figs. 12a/12b/13a/13b. *)
 
 val mean_latency : ?alpha:float -> ?vnf_service_time:float -> t -> float
 (** Demand-weighted mean chain latency (the paper's latency metric,

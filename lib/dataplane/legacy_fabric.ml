@@ -2,9 +2,8 @@
    behavioural oracle for the packed data plane in {!Plane}: the
    equivalence property in [test_dataplane.ml] drives identical traffic
    and churn through both and asserts identical traces, errors, flow-table
-   sizes and counters, and the [fabric] benchmark kernel uses it as the
-   before-side of the packets-per-second comparison. Types are equated
-   with {!Plane}'s so results compare directly. *)
+   sizes and counters. Types are equated with {!Plane}'s so results
+   compare directly. *)
 
 type endpoint = Plane.endpoint = Edge of int | Forwarder of int | Vnf_instance of int
 

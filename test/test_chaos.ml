@@ -207,7 +207,7 @@ module Model = Sb_core.Model
 (* The controller-outage acceptance scenario (DESIGN.md section 15): the
    sweep's own 25-site diurnal scenario — including the sacrificial site
    going dark one epoch into the window — with a harsher fault mix than
-   the bench sweep arms: the Global Switchboard dies at a quarter of the
+   the sweep arms: the Global Switchboard dies at a quarter of the
    run and never comes back, and the wide-area bus drops 40% of
    loss-tolerant copies (a partial partition of the advert flood) for the
    same window. Every threshold below is pinned against this exact seeded
@@ -296,7 +296,7 @@ let test_anycast_degrades_gracefully_under_gsb_loss () =
     (pre closed >= 0.8 *. pre oracle);
   (* ... and within 5% of the decentralized arm before the controller
      dies (the full-run zero-outage ordering closed > anycast is pinned
-     at both scales by the anycast golden / BENCH_anycast headline). *)
+     at smoke scale by test/anycast.golden). *)
   Alcotest.(check bool) "closed pre-outage >= 0.95 anycast" true
     (pre closed >= 0.95 *. pre anycast);
   (* The dead-controller closed loop stalls: no better than its own
