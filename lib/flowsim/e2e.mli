@@ -27,4 +27,11 @@ val evaluate :
     paths proportionally to path fractions. [window_rtt_cap] (default 2.0)
     is the per-flow window product: a flow's rate is at most
     [window_rtt_cap /. rtt]. [vnf_service_time] (default 1 ms) drives the
-    queueing term. *)
+    queueing term.
+
+    Raises [Invalid_argument] if [flows_per_chain <= 0],
+    [window_rtt_cap <= 0.] or [vnf_service_time < 0.], or if either
+    float is NaN.
+
+    One call costs one {!Maxmin.solve} over the routing's flows plus one
+    [Sb_net.Paths.fractions] per distinct (src, dst) hop. *)

@@ -60,52 +60,79 @@ let test_rejects_bad_resource () =
   Alcotest.check_raises "bad capacity"
     (Invalid_argument "Maxmin.add_resource: non-positive capacity") (fun () ->
       ignore (Maxmin.add_resource t ~capacity:0.));
+  Alcotest.check_raises "NaN capacity" (Invalid_argument "Maxmin.add_resource: NaN capacity")
+    (fun () -> ignore (Maxmin.add_resource t ~capacity:Float.nan));
   Alcotest.check_raises "unknown resource"
     (Invalid_argument "Maxmin.add_flow: unknown resource") (fun () ->
-      ignore (Maxmin.add_flow t [ 3 ]))
+      ignore (Maxmin.add_flow t [ 3 ]));
+  let r = Maxmin.add_resource t ~capacity:1. in
+  List.iter
+    (fun demand ->
+      Alcotest.check_raises "bad demand"
+        (Invalid_argument "Maxmin.add_flow: negative or NaN demand") (fun () ->
+          ignore (Maxmin.add_flow t ~demand [ r ])))
+    [ -1.; Float.nan; Float.neg_infinity ];
+  (* Rejected flows leave no trace: the one good flow gets the capacity. *)
+  let f = Maxmin.add_flow t [ r ] in
+  Alcotest.(check (array (float 0.))) "only the good flow" [| 1. |] (Maxmin.solve t);
+  Alcotest.(check int) "its id" 0 f
 
-(* Property: no resource oversubscribed; allocation is max-min (no flow can
-   grow without shrinking a slower-or-equal flow: verified via bottleneck
-   condition: every unfrozen... simplified: every flow either meets demand
-   or crosses a saturated resource). *)
-let prop_maxmin_valid =
-  QCheck.Test.make ~name:"max-min allocation validity" ~count:100
+(* Property: the allocation carries the max-min certificate. Capacities
+   and demands are respected, and every flow is at its demand or crosses
+   a saturated resource on which no flow has a higher rate, so no flow
+   can grow without shrinking one that is no faster. Demands are drawn
+   from a small set so that they tie, and some resources have less
+   headroom than the solver's saturation threshold. *)
+let prop_maxmin_certificate =
+  QCheck.Test.make ~name:"max-min certificate" ~count:100
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
       let rng = Sb_util.Rng.create seed in
       let t = Maxmin.create () in
-      let nres = 1 + Sb_util.Rng.int rng 6 in
-      let caps = Array.init nres (fun _ -> Sb_util.Rng.uniform_in rng 1. 20.) in
-      let res = Array.map (fun c -> Maxmin.add_resource t ~capacity:c) caps in
-      let nflows = 1 + Sb_util.Rng.int rng 10 in
+      let nres = 1 + Sb_util.Rng.int rng 50 in
+      let cap () =
+        match Sb_util.Rng.int rng 6 with
+        | 0 -> 1e-10
+        | 1 -> float_of_int (1 + Sb_util.Rng.int rng 4)
+        | _ -> Sb_util.Rng.uniform_in rng 0.5 40.
+      in
+      let caps = Array.init nres (fun _ -> cap ()) in
+      Array.iteri (fun r c -> assert (Maxmin.add_resource t ~capacity:c = r)) caps;
+      let demands = [| 0.; 0.25; 0.5; 1.; 2.; 5. |] in
+      let nflows = 1 + Sb_util.Rng.int rng 500 in
       let flows =
         Array.init nflows (fun _ ->
-            let k = 1 + Sb_util.Rng.int rng nres in
+            let k = Sb_util.Rng.int rng (min 5 (nres + 1)) in
             let rs = Sb_util.Rng.sample_without_replacement rng k nres in
             let demand =
-              if Sb_util.Rng.bool rng then Sb_util.Rng.uniform_in rng 0.5 10. else infinity
+              match Sb_util.Rng.int rng 4 with
+              | 0 when rs <> [] -> infinity
+              | 1 -> Sb_util.Rng.uniform_in rng 0. 8.
+              | _ -> Sb_util.Rng.choice rng demands
             in
-            let rs = List.map (fun i -> res.(i)) rs in
             (Maxmin.add_flow t ~demand rs, rs, demand))
       in
       let rates = Maxmin.solve t in
-      (* 1. capacities respected *)
-      let caps_ok =
-        Array.for_all
-          (fun r -> Maxmin.resource_utilization t rates r <= 1. +. 1e-6)
-          res
-      in
-      (* 2. each flow meets demand or crosses a saturated resource *)
+      let util = Maxmin.utilizations t rates in
+      let fastest = Array.make nres 0. in
+      Array.iter
+        (fun (f, rs, _) ->
+          List.iter (fun r -> fastest.(r) <- Float.max fastest.(r) rates.(f)) rs)
+        flows;
+      (* Saturated: less than 1e-6 of headroom left. The solver treats a
+         resource as full at 1e-9, so one created with less headroom than
+         that is saturated from the start. *)
+      let saturated r = caps.(r) *. (1. -. util.(r)) <= 1e-6 in
+      let caps_ok = Array.for_all (fun u -> u <= 1. +. 1e-6) util in
+      let demands_ok = Array.for_all (fun (f, _, d) -> rates.(f) <= d +. 1e-6) flows in
       let bottleneck_ok =
         Array.for_all
-          (fun (f, rs, demand) ->
-            rates.(f) >= demand -. 1e-6
-            || List.exists
-                 (fun r -> Maxmin.resource_utilization t rates r >= 1. -. 1e-6)
-                 rs)
+          (fun (f, rs, d) ->
+            rates.(f) >= d -. 1e-6
+            || List.exists (fun r -> saturated r && fastest.(r) <= rates.(f) +. 1e-6) rs)
           flows
       in
-      caps_ok && bottleneck_ok)
+      caps_ok && demands_ok && bottleneck_ok)
 
 (* ------------------------- e2e evaluation -------------------------- *)
 
@@ -158,6 +185,76 @@ let test_e2e_window_cap () =
   Alcotest.(check bool) "window cap limits throughput" true
     (tight.Sb_flowsim.E2e.total_throughput < loose.Sb_flowsim.E2e.total_throughput)
 
+let test_e2e_rejects_bad_args () =
+  let r = Sb_core.Greedy.anycast (two_site_model ()) in
+  Alcotest.check_raises "flows_per_chain"
+    (Invalid_argument "E2e.evaluate: flows_per_chain must be positive") (fun () ->
+      ignore (Sb_flowsim.E2e.evaluate ~flows_per_chain:0 r))
+
+let test_e2e_rejects_bad_window () =
+  let r = Sb_core.Greedy.anycast (two_site_model ()) in
+  Alcotest.check_raises "window_rtt_cap"
+    (Invalid_argument "E2e.evaluate: window_rtt_cap must be positive") (fun () ->
+      ignore (Sb_flowsim.E2e.evaluate ~window_rtt_cap:(-1.) r))
+
+let test_e2e_rejects_bad_service_time () =
+  let r = Sb_core.Greedy.anycast (two_site_model ()) in
+  Alcotest.check_raises "vnf_service_time"
+    (Invalid_argument "E2e.evaluate: vnf_service_time must be non-negative") (fun () ->
+      ignore (Sb_flowsim.E2e.evaluate ~vnf_service_time:(-0.001) r))
+
+(* Exact outputs on an SB-DP routing of the 12-chain backbone25 at seed 7,
+   pinned as hex floats: once with the defaults, once with window caps
+   tight enough that some flows stop at their demand and others at a
+   saturated resource. *)
+let test_e2e_pinned () =
+  let m =
+    Sb_adapt.Scenario.backbone25 { Sb_adapt.Scenario.default_config with num_chains = 12 }
+  in
+  let r = Sb_core.Dp_routing.solve ~rng:(Sb_util.Rng.create 7) m in
+  let hex = Printf.sprintf "%h" in
+  let check name ~tput ~rtt per_chain e =
+    Alcotest.(check string)
+      (name ^ " total_throughput") tput
+      (hex e.Sb_flowsim.E2e.total_throughput);
+    Alcotest.(check string) (name ^ " mean_rtt") rtt (hex e.Sb_flowsim.E2e.mean_rtt);
+    Alcotest.(check (list (pair string string)))
+      (name ^ " per_chain") per_chain
+      (List.map (fun (t, l) -> (hex t, hex l)) e.Sb_flowsim.E2e.per_chain)
+  in
+  check "default" ~tput:"0x1.4f00000000002p+6" ~rtt:"0x1.0b14c585d900dp-2"
+    [
+        ("0x1.3fffffffffffbp+3", "0x1.cfc4d1e8fbe12p-2");
+        ("0x1.9000000000001p+2", "0x1.3c078297472fap-2");
+        ("0x1.c924924924924p+2", "0x1.531e23c5be072p-3");
+        ("0x1.c924924924924p+2", "0x1.4e49a2ed138f6p-3");
+        ("0x1.4000000000001p+2", "0x1.e0d094bab5a42p-3");
+        ("0x1.c924924924924p+2", "0x1.6ecf310dd1fd6p-2");
+        ("0x1.c924924924923p+1", "0x1.24a5555c6d5dp-3");
+        ("0x1.9000000000001p+2", "0x1.959e0e75b8e6cp-2");
+        ("0x1.c924924924924p+3", "0x1.926e15e7465f2p-3");
+        ("0x1.9000000000001p+2", "0x1.64975ad1ccc36p-2");
+        ("0x1.c924924924924p+2", "0x1.b02c1ef5fef3p-3");
+        ("0x1.c924924924923p+1", "0x1.36d8c139e8b87p-3");
+    ]
+    (Sb_flowsim.E2e.evaluate r);
+  check "tight" ~tput:"0x1.3d3e24872dd19p+6" ~rtt:"0x1.d0091eaca084cp-3"
+    [
+        ("0x1.06baa1dfde0cbp+3", "0x1.8fc400b89c3eep-4");
+        ("0x1.9p+2", "0x1.3c078297472f8p-2");
+        ("0x1.c924924924925p+2", "0x1.531e23c5be074p-3");
+        ("0x1.c924924924925p+2", "0x1.4e49a2ed138f7p-3");
+        ("0x1.3ffffffffffffp+2", "0x1.e0d094bab5a42p-3");
+        ("0x1.c924924924925p+2", "0x1.6ecf310dd1fd8p-2");
+        ("0x1.c924924924925p+1", "0x1.24a5555c6d5dp-3");
+        ("0x1.9p+2", "0x1.959e0e75b8e6bp-2");
+        ("0x1.745b14a2b5128p+3", "0x1.20a066f6c0752p-3");
+        ("0x1.9p+2", "0x1.648f79ca7b9cfp-2");
+        ("0x1.c924924924925p+2", "0x1.b02c1ef5fef3p-3");
+        ("0x1.c924924924925p+1", "0x1.36d8c139e8b8ap-3");
+    ]
+    (Sb_flowsim.E2e.evaluate ~flows_per_chain:5 ~window_rtt_cap:0.1 r)
+
 let () =
   Alcotest.run "sb_flowsim"
     [
@@ -176,6 +273,11 @@ let () =
           Alcotest.test_case "rtt includes propagation" `Quick test_e2e_rtt_includes_propagation;
           Alcotest.test_case "per-chain consistent" `Quick test_e2e_per_chain_consistent;
           Alcotest.test_case "window cap" `Quick test_e2e_window_cap;
+          Alcotest.test_case "rejects flows_per_chain <= 0" `Quick test_e2e_rejects_bad_args;
+          Alcotest.test_case "rejects window_rtt_cap <= 0" `Quick test_e2e_rejects_bad_window;
+          Alcotest.test_case "rejects vnf_service_time < 0" `Quick
+            test_e2e_rejects_bad_service_time;
+          Alcotest.test_case "pinned on backbone25" `Quick test_e2e_pinned;
         ] );
-      ("properties", [ QCheck_alcotest.to_alcotest prop_maxmin_valid ]);
+      ("properties", [ QCheck_alcotest.to_alcotest prop_maxmin_certificate ]);
     ]
