@@ -418,8 +418,8 @@ let table3 () =
 (* Figures 12-13: traffic engineering on the synthetic backbone        *)
 (* ------------------------------------------------------------------ *)
 
-(* The tier-1 scenario, scaled so the dense simplex solves each LP in
-   under a second (see DESIGN.md on instance-size substitution): an 8-node
+(* The tier-1 scenario, scaled so the simplex solves each LP in
+   milliseconds (see DESIGN.md on instance-size substitution): an 8-node
    backbone with 16 chains instead of the paper's full AT&T backbone with
    10 000 chains and CPLEX. *)
 let te_model ?(coverage = Workload.default.Workload.coverage)
@@ -758,7 +758,7 @@ let scale () =
     ];
   Table.print t;
   print_endline
-    "(the dense-simplex SB-LP grows superlinearly, as CPLEX did for the paper's authors;\n SB-DP remains sub-second far beyond the LP's practical range)"
+    "(SB-LP's simplex grows superlinearly, as CPLEX did for the paper's authors;\n SB-DP remains sub-second far beyond the LP's practical range)"
 
 (* ------------------------------------------------------------------ *)
 (* Driver                                                              *)

@@ -27,7 +27,7 @@ type params = {
 val default : params
 (** 12 VNFs, coverage 0.5, CPU/unit 1.0, 24 chains, lengths 3-5, site
     capacity 100, total traffic 30, background ratio 0.25, reverse fraction
-    0.5, beta 1.0 — sized so the SB-LP simplex solves in seconds and unit
+    0.5, beta 1.0 — sized so the SB-LP simplex solves in well under a second and unit
     demand is feasible (so the min-latency LP has a solution). *)
 
 val synthesize : rng:Sb_util.Rng.t -> Sb_net.Topology.t -> params -> Model.t

@@ -3,14 +3,26 @@
     This module replaces the CPLEX dependency of the paper's prototype
     (Section 4.5). It provides a small modelling layer (variables, linear
     expressions, constraints, objective) and solves problems exactly with a
-    two-phase dense simplex method. Mixed-integer problems are solved by
-    branch-and-bound in {!Mip}.
+    sparse bounded revised simplex method. Mixed-integer problems are
+    solved by branch-and-bound in {!Mip}.
 
-    The intended problem scale is the scaled-down instances described in
-    DESIGN.md (thousands of variables, hundreds of constraints); the dense
-    tableau is quadratic in memory, so this is not a production solver for
-    CPLEX-scale inputs — it is, however, exact, dependency-free, and fast
-    enough for every experiment in the reproduction. *)
+    The solver stores the constraint matrix by columns and by rows and
+    keeps the basis as a sparse LU factorization (Markowitz pivoting)
+    followed by product-form updates, refactored once the updates
+    outgrow the factors. Every variable and row bound is native: row [i]
+    gets a logical variable, and the start basis is all-logical, with
+    equality rows crashed to structurals. A basis that violates a bound
+    is repaired by phase 1 iterations that minimize the sum of
+    infeasibilities. Pricing is Dantzig's rule, switching to Bland's rule
+    after a long degenerate streak; ratio-test ties go to the smallest
+    basic index.
+
+    It is exact, dependency-free and fast on the instance sizes of the
+    reproduction (SB-LP on the 25-site backbone with 12 chains: ~950 rows,
+    ~7,700 columns, ~68 k nonzeros, solved in tens of milliseconds), but it
+    is not a CPLEX-scale solver: it has no devex pricing, presolve or
+    hypersparse solves, and the 200-chain [bench scale] LP takes tens of
+    seconds. *)
 
 type problem
 type var
@@ -25,7 +37,8 @@ val add_var : problem -> ?lb:float -> ?ub:float -> ?integer:bool -> string -> va
     - [ub] defaults to [infinity].
     - [integer] (default [false]) marks the variable integral; plain
       {!solve} ignores integrality (LP relaxation), {!Mip.solve} enforces it.
-    Raises [Invalid_argument] if [lb > ub]. *)
+    Raises [Invalid_argument] if a bound is NaN, [lb = infinity],
+    [ub = neg_infinity] or [lb > ub]. *)
 
 val var_name : var -> string
 
@@ -36,11 +49,17 @@ type expr = (float * var) list
 type relation = Le | Ge | Eq
 
 val add_constraint : problem -> ?name:string -> expr -> relation -> float -> unit
-(** [add_constraint p e rel rhs] adds the constraint [e rel rhs]. *)
+(** [add_constraint p e rel rhs] adds the constraint [e rel rhs]. [name] is
+    accepted for readability of calling code and not stored. An infinite
+    [rhs] is allowed: on the slack side ([Le infinity], [Ge neg_infinity])
+    the row never binds, on the other (or with [Eq]) it can never hold and
+    {!solve} reports [Infeasible]. Raises [Invalid_argument], leaving [p]
+    unchanged, if a coefficient is NaN or infinite or [rhs] is NaN. *)
 
 type sense = Minimize | Maximize
 
 val set_objective : problem -> sense -> expr -> unit
+(** Raises [Invalid_argument] if a coefficient is NaN or infinite. *)
 
 val num_vars : problem -> int
 val num_constraints : problem -> int
@@ -55,7 +74,9 @@ type outcome =
   | Unbounded
 
 val solve : problem -> outcome
-(** Solve the LP relaxation with two-phase simplex. *)
+(** Solve the LP relaxation. [Infeasible] takes precedence over
+    [Unbounded]. When the optimum is not unique, which optimal vertex is
+    returned is deterministic but otherwise unspecified. *)
 
 val value : solution -> var -> float
 (** Value of a variable in an optimal solution. *)
@@ -70,6 +91,7 @@ val pp_outcome : Format.formatter -> outcome -> unit
 val var_is_integer : problem -> var -> bool
 val all_vars : problem -> var list
 val clone_with_bounds : problem -> (var * float * float) list -> problem
-(* [clone_with_bounds p extra] copies [p] adding bound constraints
-   lb <= v <= ub for each [(v, lb, ub)]. Variables are shared between the
-   clone and the original, so [value] lookups use the original vars. *)
+(* [clone_with_bounds p extra] copies [p], tightening each [v] to
+   lb <= v <= ub for each [(v, lb, ub)] (bounds intersect; an empty
+   intersection makes the clone infeasible). Variables are shared between
+   the clone and the original, so [value] lookups use the original vars. *)

@@ -55,6 +55,19 @@ let test_unbounded () =
   | Lp.Unbounded -> ()
   | _ -> Alcotest.fail "expected unbounded"
 
+let test_unbounded_after_pivots () =
+  (* max x + 2y s.t. x - y <= 1, x + z = 3, -x + z <= 2: x and z pivot in
+     first, then y has no blocking row. *)
+  let p = Lp.create () in
+  let x = Lp.add_var p "x" and y = Lp.add_var p "y" and z = Lp.add_var p "z" in
+  Lp.add_constraint p [ (1., x); (-1., y) ] Lp.Le 1.;
+  Lp.add_constraint p [ (1., x); (1., z) ] Lp.Eq 3.;
+  Lp.add_constraint p [ (-1., x); (1., z) ] Lp.Le 2.;
+  Lp.set_objective p Lp.Maximize [ (1., x); (2., y) ];
+  match Lp.solve p with
+  | Lp.Unbounded -> ()
+  | _ -> Alcotest.fail "expected unbounded"
+
 let test_degenerate_trivial () =
   (* No constraints, minimize x -> 0 at lower bound. *)
   let p = Lp.create () in
@@ -254,6 +267,48 @@ let test_equality_only_system () =
   check_val "x" 1. (Lp.value s x);
   check_val "y" 2. (Lp.value s y)
 
+(* ---------------------------- inputs ----------------------------- *)
+
+let raises_invalid name f =
+  match f () with
+  | exception Invalid_argument _ -> ()
+  | _ -> Alcotest.failf "%s: expected Invalid_argument" name
+
+let test_add_var_rejects_bad_bounds () =
+  let p = Lp.create () in
+  raises_invalid "NaN lb" (fun () -> Lp.add_var p ~lb:nan "x");
+  raises_invalid "NaN ub" (fun () -> Lp.add_var p ~ub:nan "x");
+  raises_invalid "lb = infinity" (fun () -> Lp.add_var p ~lb:infinity "x");
+  raises_invalid "ub = neg_infinity" (fun () -> Lp.add_var p ~lb:neg_infinity ~ub:neg_infinity "x");
+  raises_invalid "lb > ub" (fun () -> Lp.add_var p ~lb:2. ~ub:1. "x");
+  Alcotest.(check int) "no variable added" 0 (Lp.num_vars p)
+
+let test_rows_reject_non_finite () =
+  let p = Lp.create () in
+  let x = Lp.add_var p "x" and y = Lp.add_var p "y" in
+  raises_invalid "NaN coefficient" (fun () -> Lp.add_constraint p [ (1., x); (nan, y) ] Lp.Le 1.);
+  raises_invalid "infinite coefficient" (fun () -> Lp.add_constraint p [ (infinity, x) ] Lp.Le 1.);
+  raises_invalid "NaN rhs" (fun () -> Lp.add_constraint p [ (1., x) ] Lp.Eq nan);
+  raises_invalid "NaN objective" (fun () -> Lp.set_objective p Lp.Maximize [ (nan, x) ]);
+  raises_invalid "infinite objective" (fun () -> Lp.set_objective p Lp.Minimize [ (neg_infinity, y) ]);
+  Alcotest.(check int) "no row added" 0 (Lp.num_constraints p);
+  (* the rejected calls left the problem usable *)
+  Lp.add_constraint p [ (1., x); (1., y) ] Lp.Le 3.;
+  Lp.set_objective p Lp.Maximize [ (1., x); (2., y) ];
+  check_obj "objective" 6. (Lp.objective_value (solve_opt p))
+
+let test_infinite_rhs () =
+  (* x <= +inf never binds; x >= +inf can never hold. *)
+  let p = Lp.create () in
+  let x = Lp.add_var p ~ub:4. "x" in
+  Lp.add_constraint p [ (1., x) ] Lp.Le infinity;
+  Lp.set_objective p Lp.Maximize [ (1., x) ];
+  check_obj "vacuous row" 4. (Lp.objective_value (solve_opt p));
+  Lp.add_constraint p [ (1., x) ] Lp.Ge infinity;
+  match Lp.solve p with
+  | Lp.Infeasible -> ()
+  | _ -> Alcotest.fail "expected infeasible"
+
 (* ------------------------------ MIP ------------------------------ *)
 
 let test_mip_basic () =
@@ -348,7 +403,7 @@ let prop_optimal_is_feasible =
       let m = 1 + Sb_util.Rng.int rng 6 in
       let p = Lp.create () in
       let vars = Array.init n (fun i -> Lp.add_var p (Printf.sprintf "v%d" i)) in
-      let rows = ref [] in
+      let rows = ref [] and in_row = Array.make n false in
       for _ = 1 to m do
         let terms =
           Array.to_list vars
@@ -359,7 +414,8 @@ let prop_optimal_is_feasible =
         if terms <> [] then begin
           let rhs = Sb_util.Rng.uniform_in rng 1. 20. in
           Lp.add_constraint p terms Lp.Le rhs;
-          rows := (terms, rhs) :: !rows
+          rows := (terms, rhs) :: !rows;
+          Array.iteri (fun i v -> if List.exists (fun (_, u) -> u == v) terms then in_row.(i) <- true) vars
         end
       done;
       Lp.set_objective p Lp.Maximize
@@ -372,8 +428,154 @@ let prop_optimal_is_feasible =
             <= rhs +. 1e-6)
           !rows
         && Array.for_all (fun v -> Lp.value s v >= -1e-9) vars
-      | Lp.Unbounded -> true (* some var in no row *)
+      | Lp.Unbounded ->
+        (* every objective coefficient is positive, so only a variable in
+           no row can grow without bound *)
+        Array.exists not in_row
       | Lp.Infeasible -> false (* impossible for Le-only with rhs > 0 *))
+
+(* Optimality against the definition: on small random LPs, [Lp.solve]
+   agrees with brute-force vertex enumeration. Rows are Le/Ge/Eq with
+   small integer data (so degenerate vertices and ties are common) and
+   right-hand sides of either sign; variables are non-negative, shifted,
+   boxed (possibly fixed) or free. Every infinite variable bound is
+   replaced by a box row at +/-5, so the region is a polytope: it is empty
+   or its optimum sits at a vertex, the solution of [n] linearly
+   independent active constraints. *)
+type bf_row = { coef : float array; rel : Lp.relation; rhs : float }
+
+(* Solve the square system [a x = b] by Gaussian elimination with partial
+   pivoting; [None] when it is singular. *)
+let solve_square a b =
+  let n = Array.length b in
+  let a = Array.map Array.copy a and b = Array.copy b in
+  try
+    for k = 0 to n - 1 do
+      let piv = ref k in
+      for i = k + 1 to n - 1 do
+        if Float.abs a.(i).(k) > Float.abs a.(!piv).(k) then piv := i
+      done;
+      if Float.abs a.(!piv).(k) < 1e-9 then raise Exit;
+      let t = a.(k) in
+      a.(k) <- a.(!piv);
+      a.(!piv) <- t;
+      let t = b.(k) in
+      b.(k) <- b.(!piv);
+      b.(!piv) <- t;
+      for i = k + 1 to n - 1 do
+        let f = a.(i).(k) /. a.(k).(k) in
+        for j = k to n - 1 do
+          a.(i).(j) <- a.(i).(j) -. (f *. a.(k).(j))
+        done;
+        b.(i) <- b.(i) -. (f *. b.(k))
+      done
+    done;
+    let x = Array.make n 0. in
+    for i = n - 1 downto 0 do
+      let s = ref b.(i) in
+      for j = i + 1 to n - 1 do
+        s := !s -. (a.(i).(j) *. x.(j))
+      done;
+      x.(i) <- !s /. a.(i).(i)
+    done;
+    Some x
+  with Exit -> None
+
+(* The best objective over all vertices, or [None] when there is none. *)
+let brute_force ~maximize obj rows =
+  let n = Array.length obj in
+  let rows = Array.of_list rows in
+  let dot c x =
+    let s = ref 0. in
+    Array.iteri (fun j cj -> s := !s +. (cj *. x.(j))) c;
+    !s
+  in
+  let feasible x =
+    Array.for_all
+      (fun r ->
+        let lhs = dot r.coef x and tol = 1e-7 *. (1. +. Float.abs r.rhs) in
+        match r.rel with
+        | Lp.Le -> lhs <= r.rhs +. tol
+        | Lp.Ge -> lhs >= r.rhs -. tol
+        | Lp.Eq -> Float.abs (lhs -. r.rhs) <= tol)
+      rows
+  in
+  let best = ref None in
+  let rec subsets start chosen k =
+    if k = 0 then begin
+      let chosen = Array.of_list chosen in
+      match
+        solve_square (Array.map (fun i -> rows.(i).coef) chosen) (Array.map (fun i -> rows.(i).rhs) chosen)
+      with
+      | Some x when feasible x ->
+        let v = dot obj x in
+        (match !best with
+        | Some b when (if maximize then b >= v else b <= v) -> ()
+        | _ -> best := Some v)
+      | _ -> ()
+    end
+    else
+      for i = start to Array.length rows - 1 do
+        subsets (i + 1) (i :: chosen) (k - 1)
+      done
+  in
+  subsets 0 [] n;
+  !best
+
+let prop_matches_vertex_enumeration =
+  QCheck.Test.make ~name:"optimum matches vertex enumeration" ~count:500
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Sb_util.Rng.create seed in
+      let small lo hi = float_of_int (lo + Sb_util.Rng.int rng (hi - lo + 1)) in
+      let n = 1 + Sb_util.Rng.int rng 4 in
+      let p = Lp.create () in
+      let box = ref [] in
+      let unit j = Array.init n (fun i -> if i = j then 1. else 0.) in
+      let vars =
+        Array.init n (fun j ->
+            let lb, ub =
+              match Sb_util.Rng.int rng 4 with
+              | 0 -> (0., infinity)
+              | 1 -> (small (-3) 3, infinity)
+              | 2 ->
+                let lb = small (-3) 3 in
+                (lb, lb +. small 0 4)
+              | _ -> (neg_infinity, infinity)
+            in
+            (* the LP keeps its finite bounds and gets a box row for each
+               infinite one; the enumeration sees every bound as a row *)
+            let v = Lp.add_var p ~lb ~ub (Printf.sprintf "v%d" j) in
+            let box_row rel b =
+              Lp.add_constraint p [ (1., v) ] rel b;
+              b
+            in
+            let lo = if Float.is_finite lb then lb else box_row Lp.Ge (-5.) in
+            let hi = if Float.is_finite ub then ub else box_row Lp.Le 5. in
+            box :=
+              { coef = unit j; rel = Lp.Ge; rhs = lo } :: { coef = unit j; rel = Lp.Le; rhs = hi } :: !box;
+            v)
+      in
+      let rows =
+        List.init (Sb_util.Rng.int rng 7) (fun _ ->
+            let coef = Array.init n (fun _ -> small (-3) 3) in
+            let rel = match Sb_util.Rng.int rng 3 with 0 -> Lp.Le | 1 -> Lp.Ge | _ -> Lp.Eq in
+            let rhs = small (-6) 6 in
+            Lp.add_constraint p
+              (List.filteri (fun j _ -> coef.(j) <> 0.) (Array.to_list (Array.mapi (fun j v -> (coef.(j), v)) vars)))
+              rel rhs;
+            { coef; rel; rhs })
+      in
+      let obj = Array.init n (fun _ -> small (-3) 3) in
+      let maximize = Sb_util.Rng.bool rng in
+      Lp.set_objective p
+        (if maximize then Lp.Maximize else Lp.Minimize)
+        (Array.to_list (Array.mapi (fun j v -> (obj.(j), v)) vars));
+      match (Lp.solve p, brute_force ~maximize obj (rows @ !box)) with
+      | Lp.Infeasible, None -> true
+      | Lp.Optimal s, Some best ->
+        Float.abs (Lp.objective_value s -. best) <= 1e-7 *. Float.max 1. (Float.abs best)
+      | _ -> false)
 
 let prop_mip_at_most_lp =
   QCheck.Test.make ~name:"MIP optimum <= LP relaxation (maximize)" ~count:40
@@ -393,8 +595,6 @@ let prop_mip_at_most_lp =
           (Array.to_list (Array.map (fun v -> (Sb_util.Rng.uniform_in rng 0.5 2., v)) vars));
         p
       in
-      let rng_copy = Sb_util.Rng.copy rng in
-      ignore rng_copy;
       let p = build () in
       match (Mip.solve p, Lp.solve p) with
       | Mip.Optimal mi, Lp.Optimal lp ->
@@ -410,6 +610,7 @@ let () =
           Alcotest.test_case "ge and eq" `Quick test_minimize_with_ge_and_eq;
           Alcotest.test_case "infeasible" `Quick test_infeasible;
           Alcotest.test_case "unbounded" `Quick test_unbounded;
+          Alcotest.test_case "unbounded after pivots" `Quick test_unbounded_after_pivots;
           Alcotest.test_case "trivial" `Quick test_degenerate_trivial;
           Alcotest.test_case "upper bound" `Quick test_variable_upper_bound;
           Alcotest.test_case "lower bound shift" `Quick test_variable_lower_bound_shift;
@@ -425,6 +626,12 @@ let () =
           Alcotest.test_case "highly degenerate" `Quick test_highly_degenerate;
           Alcotest.test_case "equality-only system" `Quick test_equality_only_system;
         ] );
+      ( "inputs",
+        [
+          Alcotest.test_case "add_var rejects bad bounds" `Quick test_add_var_rejects_bad_bounds;
+          Alcotest.test_case "rows reject non-finite data" `Quick test_rows_reject_non_finite;
+          Alcotest.test_case "infinite rhs" `Quick test_infinite_rhs;
+        ] );
       ( "mip",
         [
           Alcotest.test_case "basic" `Quick test_mip_basic;
@@ -437,6 +644,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_optimal_is_feasible;
+          QCheck_alcotest.to_alcotest prop_matches_vertex_enumeration;
           QCheck_alcotest.to_alcotest prop_mip_at_most_lp;
         ] );
     ]
