@@ -680,9 +680,8 @@ let compile_cmd =
         ships vs a full one, using the Types.msg_size wire model.
 
      2. Rollout latency: a live System under a byte-priced bus
-        (bus_bandwidth), Delta vs Full rollout — simulated commit latency
-        and wide-area bytes of one route update as the committed chain
-        population grows. *)
+        (bus_bandwidth) — simulated commit latency and wide-area bytes of
+        one delta route update as the committed chain population grows. *)
   let run smoke =
     let counts = if smoke then [ 1_000; 10_000 ] else [ 10_000; 100_000; 1_000_000 ] in
     let nsites = 25 in
@@ -774,7 +773,7 @@ let compile_cmd =
           ])
       counts;
     Table.print t;
-    (* Part 2: live rollout, Delta vs Full. Each VNF controller homes at a
+    (* Part 2: live delta rollout. Each VNF controller homes at a
        distinct site so the 2PC crosses the wide area, and the bus prices
        serialization by bytes (10 kB/s), so payload size is visible in the
        commit latency. The update moves only the last VNF — the localized
@@ -799,10 +798,8 @@ let compile_cmd =
       in
       [ mk 0 0.25; mk 1 0.25; mk 2 0.25; mk 3 0.25 ]
     in
-    let run_rollout rollout n =
-      let sys =
-        Csys.create ~num_sites:4 ~delay ~gsb_site:0 ~rollout ~bus_bandwidth:10_000. ()
-      in
+    let run_rollout n =
+      let sys = Csys.create ~num_sites:4 ~delay ~gsb_site:0 ~bus_bandwidth:10_000. () in
       for v = 0 to 2 do
         (* first deployment site = controller home: spread off the GSB *)
         Csys.deploy_vnf sys ~vnf:v ~site:(v + 1) ~capacity:1e9 ~instances:2
@@ -851,23 +848,12 @@ let compile_cmd =
       let stats = Sb_msgbus.Bus.stats (Csys.bus sys) in
       (commit_latency, stats.Sb_msgbus.Bus.wan_bytes)
     in
-    let t2 =
-      Table.create
-        ~header:
-          [ "chains"; "delta commit ms"; "full commit ms"; "delta wan B"; "full wan B" ]
-    in
+    let t2 = Table.create ~header:[ "chains"; "delta commit ms"; "delta wan B" ] in
     List.iter
       (fun n ->
-        let dl, db = run_rollout Csys.Delta_rollout n in
-        let fl, fb = run_rollout Csys.Full_rollout n in
+        let dl, db = run_rollout n in
         Table.add_row t2
-          [
-            string_of_int n;
-            Printf.sprintf "%.1f" (1000. *. dl);
-            Printf.sprintf "%.1f" (1000. *. fl);
-            string_of_int db;
-            string_of_int fb;
-          ])
+          [ string_of_int n; Printf.sprintf "%.1f" (1000. *. dl); string_of_int db ])
       sys_counts;
     Table.print t2;
     0
@@ -876,7 +862,7 @@ let compile_cmd =
     (Cmd.info "compile"
        ~doc:
          "Compiled delta rollout: decision-diagram sharing and churn-epoch bytes vs. \
-          chain count under the wire model, then Delta vs. Full 2PC commit latency \
+          chain count under the wire model, then the delta 2PC's commit latency \
           and wide-area bytes on a live 4-site system. Deterministic.")
     Term.(const run $ smoke)
 

@@ -160,23 +160,84 @@ let measure tm paths_per_chain =
 let paths_of routing n =
   Array.init n (fun c -> Routing.decompose_paths routing ~chain:c)
 
-let run_static sc =
-  let n = Model.num_chains sc.sc_model in
-  let paths = paths_of (Dp.solve (truth sc 0)) n in
-  let epochs =
-    List.init sc.sc_epochs (fun e ->
-        let supported, tput, rtt = measure (truth sc e) paths in
-        {
-          ep_epoch = e;
-          ep_supported = supported;
-          ep_throughput = tput;
-          ep_mean_rtt = rtt;
-          ep_rerouted = 0;
-          ep_down_links = List.length (failed_at sc e);
-          ep_reports = 0;
-        })
+(* -------------------------- the epoch driver -------------------------- *)
+
+(* Per-run state shared by the driver and the arms. *)
+type ctx = {
+  sc : scenario;
+  p : params;
+  moved : int array;  (* chains re-routed going into each epoch *)
+  failed_now : int list ref;  (* ground-truth failed links at the last probe tick *)
+}
+
+(* The one epoch driver: grid, probes, scoring and report; an arm passes
+   only the stages that differ. In epoch [e] from [te]: probes into the
+   [probed] system at [te + 0.05T] ([on_probe] first), [advertise] at
+   [te + 0.90T], scoring of [paths e truth] against [score_model truth] at
+   [te + 0.95T], [control] at [te + T + control_lag] (not after the last
+   epoch), and [stop] just after the last epoch. *)
+let drive ctx ?probed ?(on_probe = ignore) ?advertise ?control ?(score_model = Fun.id)
+    ?(down_links = fun e -> List.length (failed_at ctx.sc e)) ?(reports = fun () -> 0) ?stop
+    ?(scale_actions = fun () -> 0) eng paths =
+  let sc = ctx.sc and p = ctx.p in
+  let m = sc.sc_model in
+  let rng = Rng.split ~stream:1 (Rng.create p.seed) in
+  let probe e =
+    ctx.failed_now := failed_at sc e;
+    on_probe e;
+    Option.iter
+      (fun (sys, ids) ->
+        Array.iteri
+          (fun c id ->
+            let units =
+              sc.sc_demand ~epoch:e ~chain:c *. Model.fwd_traffic m ~chain:c ~stage:0
+            in
+            let count = Float.round (float_of_int p.pkts_per_unit *. units) in
+            for _ = 1 to max 1 (int_of_float count) do
+              ignore (System.probe_chain sys ~chain:id (Packet.random_tuple rng))
+            done)
+          ids)
+      probed
   in
-  { epochs; total_rerouted = 0; total_scale_actions = 0 }
+  let results = ref [] in
+  let score e =
+    let tm = truth sc e in
+    let paths = paths e tm in
+    let supported, tput, rtt = measure (score_model tm) paths in
+    results :=
+      {
+        ep_epoch = e;
+        ep_supported = supported;
+        ep_throughput = tput;
+        ep_mean_rtt = rtt;
+        ep_rerouted = ctx.moved.(e);
+        ep_down_links = down_links e;
+        ep_reports = reports ();
+      }
+      :: !results
+  in
+  let tlen = sc.sc_epoch_len and t0 = Engine.now eng in
+  let at time f = ignore (Engine.schedule_at eng ~time f) in
+  for e = 0 to sc.sc_epochs - 1 do
+    let te = t0 +. (float_of_int e *. tlen) in
+    at (te +. (0.05 *. tlen)) (fun () -> probe e);
+    Option.iter (fun f -> at (te +. (0.90 *. tlen)) (fun () -> f e)) advertise;
+    at (te +. (0.95 *. tlen)) (fun () -> score e);
+    if e < sc.sc_epochs - 1 then
+      Option.iter (fun f -> at (te +. tlen +. p.control_lag) (fun () -> f e)) control
+  done;
+  Option.iter (at (t0 +. (float_of_int sc.sc_epochs *. tlen) +. (0.01 *. tlen))) stop;
+  Engine.run eng;
+  {
+    epochs = List.rev !results;
+    total_rerouted = Array.fold_left ( + ) 0 ctx.moved;
+    total_scale_actions = scale_actions ();
+  }
+
+(* The offline arms only choose paths, on a bare engine (no system). *)
+let static ctx =
+  let paths = paths_of (Dp.solve (truth ctx.sc 0)) (Model.num_chains ctx.sc.sc_model) in
+  drive ctx (Engine.create ()) (fun _ _ -> paths)
 
 (* The oracle re-solves from scratch each epoch with perfect knowledge; the
    sequential DP is order-sensitive, so take the best of a few seeded chain
@@ -194,43 +255,24 @@ let oracle_solve tm =
   done;
   match !best with Some (_, r) -> r | None -> assert false
 
-let run_oracle sc =
-  let n = Model.num_chains sc.sc_model in
-  let prev = ref None in
-  let total = ref 0 in
-  let epochs =
-    List.init sc.sc_epochs (fun e ->
-        let tm = truth sc e in
-        let paths = paths_of (oracle_solve tm) n in
-        let moved =
-          match !prev with
-          | None -> 0
-          | Some old ->
-            let count = ref 0 in
-            Array.iteri (fun c p -> if p <> old.(c) then incr count) paths;
-            !count
-        in
-        prev := Some paths;
-        total := !total + moved;
-        let supported, tput, rtt = measure tm paths in
-        {
-          ep_epoch = e;
-          ep_supported = supported;
-          ep_throughput = tput;
-          ep_mean_rtt = rtt;
-          ep_rerouted = moved;
-          ep_down_links = List.length (failed_at sc e);
-          ep_reports = 0;
-        })
-  in
-  { epochs; total_rerouted = !total; total_scale_actions = 0 }
+let oracle ctx =
+  let prev = ref [||] in
+  drive ctx (Engine.create ()) (fun e tm ->
+      let paths = paths_of (oracle_solve tm) (Model.num_chains tm) in
+      if e > 0 then
+        Array.iteri (fun c p -> if p <> !prev.(c) then ctx.moved.(e) <- ctx.moved.(e) + 1)
+          paths;
+      prev := paths;
+      paths)
 
 (* Shared establishment for the live arms (closed loop and decentralized
    anycast): assemble the control plane, provision every deployment from
    the model, register the edges and commit the initial routing [r0]
    through the normal 2PC — chain admission is a control-plane act either
-   way; the arms differ in who adapts the routes afterwards. *)
-let establish sc p r0 =
+   way; the arms differ in who adapts the routes afterwards. The caller's
+   [on_system] then sees the established system before any arm stage is
+   built. *)
+let establish ?(on_system = ignore) sc p r0 =
   let m = sc.sc_model in
   let n = Model.num_chains m in
   let num_sites = Model.num_sites m in
@@ -289,309 +331,200 @@ let establish sc p r0 =
           })
   in
   Engine.run (System.engine sys);
+  (* Hand the assembled system to the caller before the epochs are laid
+     out: [sb_chaos] arms its fault schedule and invariant probes here. *)
+  on_system sys;
   (sys, ids, routes_of)
 
-let run_closed ?(on_system = fun _ -> ()) sc p =
+(* The ground-truth failed links incident to site [s]: a site observes the
+   liveness of its own links only. *)
+let incident ctx s =
+  let m = ctx.sc.sc_model in
+  let node = Model.site_node m s in
+  List.filter
+    (fun l ->
+      let lk = Topology.link (Model.topology m) l in
+      lk.Topology.src = node || lk.Topology.dst = node)
+    !(ctx.failed_now)
+
+(* The closed loop's control tick is sense -> decide -> actuate: the
+   aggregator's measured traffic matrix and failure view, then the optional
+   [Place] planner, then an incremental resolve rolled out through the 2PC.
+   Scoring reads the INSTALLED routes (post two-phase commit), not what the
+   resolver intends: rollout latency is part of the loop. *)
+let closed_loop ?on_system ctx =
+  let sc = ctx.sc and p = ctx.p in
   let m = sc.sc_model in
   let n = Model.num_chains m in
   let num_sites = Model.num_sites m in
   let r0 = Dp.solve (truth sc 0) in
-  let sys, ids, routes_of = establish sc p r0 in
-  let eng = System.engine sys in
-  (* --- chains established; start the loop on a fresh epoch grid --- *)
-  (* Hand the assembled system to the caller before the epochs are laid
-     out: [sb_chaos] arms its fault schedule and invariant probes here. *)
-  on_system sys;
+  let sys, ids, routes_of = establish ?on_system sc p r0 in
   let planner = Option.map (fun pp -> Place.create ~params:pp ()) p.placement in
-  let t0 = Engine.now eng in
-  let failed_now = ref [] in
   let exporters =
     List.init num_sites (fun s ->
-        let node = Model.site_node m s in
         Telemetry.Exporter.start ~system:sys ~site:s ~period:sc.sc_epoch_len
-          ~down_links:(fun () ->
-            (* a site observes liveness of its incident links only *)
-            List.filter
-              (fun l ->
-                let lk = Topology.link (Model.topology m) l in
-                lk.Topology.src = node || lk.Topology.dst = node)
-              !failed_now)
+          ~down_links:(fun () -> incident ctx s)
           ())
   in
   let agg =
     Telemetry.Aggregator.create ~system:sys ~site:0 ~chains:(Array.to_list ids)
       ~num_sites ~staleness:p.staleness ()
   in
-  let rng = Rng.split ~stream:1 (Rng.create p.seed) in
-  let inject e =
-    failed_now := failed_at sc e;
-    (* With the placement capability on, the epoch tick drives the flow
-       expiry clock (PR 7): connections idle for two epochs age out, so a
-       drained deployment's flow-table occupancy actually falls to zero
-       and scale-in can complete. Off by default — expiry never changes
-       traces or draws, but the route-only arm stays byte-identical to
-       its pre-placement behaviour. *)
-    (match planner with
-    | Some _ ->
-      let sh = System.shard sys in
-      Sb_dataplane.Shard.set_clock sh e;
-      if e >= 2 then ignore (Sb_dataplane.Shard.expire_flows sh ~idle_before:(e - 2))
-    | None -> ());
-    for c = 0 to n - 1 do
-      let units =
-        sc.sc_demand ~epoch:e ~chain:c *. Model.fwd_traffic m ~chain:c ~stage:0
-      in
-      let count =
-        max 1 (int_of_float (Float.round (float_of_int p.pkts_per_unit *. units)))
-      in
-      for _ = 1 to count do
-        ignore (System.probe_chain sys ~chain:ids.(c) (Packet.random_tuple rng))
-      done
-    done
-  in
   let factors_meas = Array.make n 1.0 in
-  let rerouted_at = Array.make sc.sc_epochs 0 in
   let down_at = Array.make sc.sc_epochs 0 in
+  let sense e =
+    for c = 0 to n - 1 do
+      match Telemetry.Aggregator.chain_packets agg ~epoch:e ~chain:ids.(c) with
+      | Some pkts ->
+        let base = float_of_int p.pkts_per_unit *. Model.fwd_traffic m ~chain:c ~stage:0 in
+        if base > 0. then factors_meas.(c) <- float_of_int pkts /. base
+      | None -> () (* stale chain: hold the previous estimate *)
+    done;
+    let down = Telemetry.Aggregator.down_links agg ~epoch:e in
+    down_at.(e) <- List.length down;
+    let base = match down with [] -> m | _ -> Model.with_failed_links m down in
+    Model.with_chain_traffic_factors base (Array.copy factors_meas)
+  in
   let cur = ref r0 in
-  let total_rerouted = ref 0 in
-  let control e =
-    (* A dead Global Switchboard adapts nothing: the aggregator and the
-       resolver live with it, and [gsb_start_2pc] would drop the rollout
-       anyway. Skipping the whole tick makes the stall explicit — routes
-       freeze at the last committed set until the standby takes over. *)
-    if not (System.gsb_is_down sys) then begin
-      for c = 0 to n - 1 do
-        match Telemetry.Aggregator.chain_packets agg ~epoch:e ~chain:ids.(c) with
-        | Some pkts ->
-          let base =
-            float_of_int p.pkts_per_unit *. Model.fwd_traffic m ~chain:c ~stage:0
-          in
-          if base > 0. then factors_meas.(c) <- float_of_int pkts /. base
-        | None -> () (* stale chain: hold the previous estimate *)
-      done;
-      let down = Telemetry.Aggregator.down_links agg ~epoch:e in
-      down_at.(e) <- List.length down;
-      let measured =
-        let base = match down with [] -> m | _ -> Model.with_failed_links m down in
-        Model.with_chain_traffic_factors base (Array.copy factors_meas)
-      in
-      (* Placement half of the tick: plan against the measured model,
-         apply the actions through the control plane, and resolve routes
-         on the model including the planner's opens so the resolver can
-         actually steer load onto (or off) the changed deployments. *)
-      let measured =
-        match planner with
-        | None -> measured
-        | Some pl ->
-          let acts = Place.plan pl ~measured ~paths:(paths_of !cur n) in
-          List.iter
-            (function
-              | Place.Scale_out { vnf; site; capacity } ->
-                System.scale_out sys ~vnf ~site
-                  ~capacity:(p.vnf_headroom *. capacity) ~instances:2
-              | Place.Scale_in { vnf; site } ->
-                (* The resolver below no longer sees the deployment, so
-                   the chains using it re-route with infinite gain; the
-                   drain completes once their route updates commit and
-                   the established flows idle out. *)
-                System.drain_and_remove sys ~vnf ~site
-                  ~timeout:(4. *. sc.sc_epoch_len)
-                  ~on_done:(fun ok ->
-                    if ok then Place.note_drain_done pl ~vnf ~site
-                    else Place.note_drain_aborted pl ~vnf ~site)
-                  ())
-            acts;
-          (match Place.extra pl with
-          | [] -> measured
-          | ex -> Model.with_extra_deployments measured ex)
-      in
-      let r', stats =
-        Dp.resolve ~util_weight:p.util_weight ~hysteresis:p.hysteresis
-          ~churn_budget:p.churn_budget ~prev:!cur
-          measured
-      in
-      cur := r';
-      rerouted_at.(e) <- List.length stats.Dp.rerouted;
-      total_rerouted := !total_rerouted + rerouted_at.(e);
-      List.iter
-        (fun c ->
-          match routes_of r' c with
-          | [] -> ()
-          | routes -> System.update_routes sys ~chain:ids.(c) routes)
-        stats.Dp.rerouted
-    end
+  (* Plan against the measured model, apply the actions through the control
+     plane, and hand on the model including the planner's opens so the
+     resolver can steer load onto (or off) the changed deployments. A
+     scale-in's deployment vanishes from that model, so its chains re-route
+     with infinite gain; the drain completes once their updates commit and
+     the established flows idle out. *)
+  let place pl measured =
+    List.iter
+      (function
+        | Place.Scale_out { vnf; site; capacity } ->
+          System.scale_out sys ~vnf ~site ~capacity:(p.vnf_headroom *. capacity)
+            ~instances:2
+        | Place.Scale_in { vnf; site } ->
+          System.drain_and_remove sys ~vnf ~site ~timeout:(4. *. sc.sc_epoch_len)
+            ~on_done:(fun ok ->
+              if ok then Place.note_drain_done pl ~vnf ~site
+              else Place.note_drain_aborted pl ~vnf ~site)
+            ())
+      (Place.plan pl ~measured ~paths:(paths_of !cur n));
+    match Place.extra pl with
+    | [] -> measured
+    | ex -> Model.with_extra_deployments measured ex
   in
-  let results = Array.make sc.sc_epochs None in
-  let eval e =
-    let tm = truth sc e in
-    (* The ground truth carries the operator's provisioning only; the
-       deployments elastic placement has physically opened (including
-       drains still in flight — they serve established flows until
-       retraction) must back the paths that use them, or the evaluation
-       would charge those paths against zero capacity. *)
-    let tm =
-      match planner with
-      | None -> tm
-      | Some pl -> (
-        match Place.live pl with
-        | [] -> tm
-        | ex -> Model.with_extra_deployments tm ex)
+  let decide = match planner with None -> Fun.id | Some pl -> place pl in
+  let actuate e measured =
+    let r', stats =
+      Dp.resolve ~util_weight:p.util_weight ~hysteresis:p.hysteresis
+        ~churn_budget:p.churn_budget ~prev:!cur measured
     in
-    (* Evaluate what is INSTALLED (post two-phase commit), not what the
-       resolver intends: rollout latency is part of the loop. *)
-    let installed =
-      Array.init n (fun c ->
-          List.filter_map
-            (fun (r : Ct.route) ->
-              if r.Ct.weight <= 0. then None
-              else Some (Array.map (Model.site_node m) r.Ct.element_sites, r.Ct.weight))
-            (System.chain_routes sys ~chain:ids.(c)))
-    in
-    let supported, tput, rtt = measure tm installed in
-    results.(e) <-
-      Some
-        {
-          ep_epoch = e;
-          ep_supported = supported;
-          ep_throughput = tput;
-          ep_mean_rtt = rtt;
-          ep_rerouted = (if e = 0 then 0 else rerouted_at.(e - 1));
-          ep_down_links = (if e = 0 then 0 else down_at.(e - 1));
-          ep_reports = Telemetry.Aggregator.reports agg;
-        }
+    cur := r';
+    ctx.moved.(e + 1) <- List.length stats.Dp.rerouted;
+    List.iter
+      (fun c ->
+        match routes_of r' c with
+        | [] -> ()
+        | routes -> System.update_routes sys ~chain:ids.(c) routes)
+      stats.Dp.rerouted
   in
-  let tlen = sc.sc_epoch_len in
-  for e = 0 to sc.sc_epochs - 1 do
-    let te = t0 +. (float_of_int e *. tlen) in
-    ignore (Engine.schedule_at eng ~time:(te +. (0.05 *. tlen)) (fun () -> inject e));
-    ignore (Engine.schedule_at eng ~time:(te +. (0.95 *. tlen)) (fun () -> eval e));
-    if e < sc.sc_epochs - 1 then
-      ignore
-        (Engine.schedule_at eng ~time:(te +. tlen +. p.control_lag) (fun () -> control e))
-  done;
-  ignore
-    (Engine.schedule_at eng
-       ~time:(t0 +. (float_of_int sc.sc_epochs *. tlen) +. (0.01 *. tlen))
-       (fun () -> List.iter Telemetry.Exporter.stop exporters));
-  Engine.run eng;
-  {
-    epochs =
-      Array.to_list results
-      |> List.filter_map (fun r -> r);
-    total_rerouted = !total_rerouted;
-    total_scale_actions =
-      (match planner with Some pl -> Place.actions_emitted pl | None -> 0);
-  }
+  (* With a planner, the probe tick drives the flow-expiry clock: flows idle
+     for two epochs age out, so a drain can complete. Off without one, so
+     the route-only loop stays byte-identical to its pre-placement self. *)
+  let expire e =
+    let sh = System.shard sys in
+    Sb_dataplane.Shard.set_clock sh e;
+    if e >= 2 then ignore (Sb_dataplane.Shard.expire_flows sh ~idle_before:(e - 2))
+  in
+  let installed () =
+    Array.map
+      (fun id ->
+        List.filter_map
+          (fun (r : Ct.route) ->
+            if r.Ct.weight <= 0. then None
+            else Some (Array.map (Model.site_node m) r.Ct.element_sites, r.Ct.weight))
+          (System.chain_routes sys ~chain:id))
+      ids
+  in
+  (* A dead Global Switchboard adapts nothing: the aggregator and the
+     resolver live with it, and its 2PC would drop the rollout anyway.
+     Routes freeze at the last committed set until the standby takes over. *)
+  let control e = if not (System.gsb_is_down sys) then actuate e (decide (sense e)) in
+  (* The ground truth carries the operator's provisioning only; the
+     deployments placement has physically opened (including drains still
+     serving established flows) must back the paths that use them. *)
+  let score_model tm =
+    match Option.map Place.live planner with
+    | None | Some [] -> tm
+    | Some ex -> Model.with_extra_deployments tm ex
+  in
+  drive ctx (System.engine sys)
+    (fun _ _ -> installed ())
+    ~probed:(sys, ids) ~control ~score_model
+    ~on_probe:(if planner = None then ignore else expire)
+    ~down_links:(fun e -> if e = 0 then 0 else down_at.(e - 1))
+    ~reports:(fun () -> Telemetry.Aggregator.reports agg)
+    ~stop:(fun () -> List.iter Telemetry.Exporter.stop exporters)
+    ~scale_actions:(fun () -> Option.fold ~none:0 ~some:Place.actions_emitted planner)
 
 (* The decentralized arm: no aggregator, no resolver, no 2PC after
    establishment. Every site runs an [Anycast.Agent] that floods a
    [Load_advert] late in each epoch and re-points its owned rules at the
-   decision tick; the measured paths are the emergent hop-by-hop walk of
-   the same views ([Anycast.route]), i.e. exactly what the installed rules
-   forward. The initial commit is the pure delay-anycast routing — the
-   fixed point of the agents' no-information fallback — so epoch 0 is
-   consistent before any advert has flooded. *)
-let run_anycast ?(on_system = fun _ -> ()) sc p =
+   decision tick; scoring reads the emergent hop-by-hop walk of the same
+   views ([Anycast.route]), i.e. exactly what the installed rules forward.
+   The initial commit is the pure delay-anycast routing — the fixed point
+   of the agents' no-information fallback — so epoch 0 is consistent before
+   any advert has flooded. *)
+let anycast ?on_system ctx =
+  let sc = ctx.sc and p = ctx.p in
   let m = sc.sc_model in
-  let n = Model.num_chains m in
-  let num_sites = Model.num_sites m in
   let r0 = Greedy.anycast (truth sc 0) in
-  let sys, ids, _routes_of = establish sc p r0 in
-  let eng = System.engine sys in
-  on_system sys;
-  let t0 = Engine.now eng in
-  let failed_now = ref [] in
-  let incident s =
-    (* a site observes liveness of its incident links only *)
-    let node = Model.site_node m s in
-    List.filter
-      (fun l ->
-        let lk = Topology.link (Model.topology m) l in
-        lk.Topology.src = node || lk.Topology.dst = node)
-      !failed_now
-  in
+  let sys, ids, _ = establish ?on_system sc p r0 in
   let agents =
-    Array.init num_sites (fun s ->
+    Array.init (Model.num_sites m) (fun s ->
         Anycast.Agent.create ~sys ~model:m ~site:s ~ids ~staleness:p.staleness
           ~pkts_per_unit:p.pkts_per_unit
-          ~down_links:(fun () -> incident s)
+          ~down_links:(fun () -> incident ctx s)
           ())
   in
-  let rng = Rng.split ~stream:1 (Rng.create p.seed) in
-  let inject e =
-    failed_now := failed_at sc e;
-    for c = 0 to n - 1 do
-      let units =
-        sc.sc_demand ~epoch:e ~chain:c *. Model.fwd_traffic m ~chain:c ~stage:0
-      in
-      let count =
-        max 1 (int_of_float (Float.round (float_of_int p.pkts_per_unit *. units)))
-      in
-      for _ = 1 to count do
-        ignore (System.probe_chain sys ~chain:ids.(c) (Packet.random_tuple rng))
-      done
-    done
-  in
-  let advert e = Array.iter (fun a -> Anycast.Agent.advertise a ~epoch:e) agents in
-  let rerouted_at = Array.make sc.sc_epochs 0 in
-  let cur_paths = ref (paths_of r0 n) in
-  let total_rerouted = ref 0 in
+  let n = Model.num_chains m in
+  let paths = ref (paths_of r0 n) in
   let decide e =
-    let moved =
-      Array.fold_left (fun acc a -> acc + Anycast.Agent.decide a ~epoch:e) 0 agents
-    in
-    rerouted_at.(e) <- moved;
-    total_rerouted := !total_rerouted + moved;
-    cur_paths := paths_of (Anycast.route m (fun s -> Anycast.Agent.view agents.(s))) n
+    ctx.moved.(e + 1) <-
+      Array.fold_left (fun acc a -> acc + Anycast.Agent.decide a ~epoch:e) 0 agents;
+    paths := paths_of (Anycast.route m (fun s -> Anycast.Agent.view agents.(s))) n
   in
-  let results = Array.make sc.sc_epochs None in
-  let eval e =
-    let tm = truth sc e in
-    let supported, tput, rtt = measure tm !cur_paths in
-    results.(e) <-
-      Some
-        {
-          ep_epoch = e;
-          ep_supported = supported;
-          ep_throughput = tput;
-          ep_mean_rtt = rtt;
-          ep_rerouted = (if e = 0 then 0 else rerouted_at.(e - 1));
-          ep_down_links = List.length (failed_at sc e);
-          ep_reports =
-            Array.fold_left
-              (fun acc a -> acc + Anycast.received (Anycast.Agent.view a))
-              0 agents;
-        }
-  in
-  let tlen = sc.sc_epoch_len in
-  for e = 0 to sc.sc_epochs - 1 do
-    let te = t0 +. (float_of_int e *. tlen) in
-    ignore (Engine.schedule_at eng ~time:(te +. (0.05 *. tlen)) (fun () -> inject e));
-    ignore (Engine.schedule_at eng ~time:(te +. (0.90 *. tlen)) (fun () -> advert e));
-    ignore (Engine.schedule_at eng ~time:(te +. (0.95 *. tlen)) (fun () -> eval e));
-    if e < sc.sc_epochs - 1 then
-      ignore
-        (Engine.schedule_at eng ~time:(te +. tlen +. p.control_lag) (fun () -> decide e))
-  done;
-  Engine.run eng;
-  {
-    epochs = Array.to_list results |> List.filter_map (fun r -> r);
-    total_rerouted = !total_rerouted;
-    total_scale_actions = 0;
-  }
+  drive ctx (System.engine sys)
+    (fun _ _ -> !paths)
+    ~probed:(sys, ids) ~control:decide
+    ~advertise:(fun e -> Array.iter (Anycast.Agent.advertise ~epoch:e) agents)
+    ~reports:(fun () ->
+      Array.fold_left (fun acc a -> acc + Anycast.received (Anycast.Agent.view a)) 0 agents)
+
+(* Reject up front what would hang or collapse the grid, or be silently
+   ignored (a negative budget, a NaN hysteresis, a planner nobody runs). *)
+let validate params sc arm on_system =
+  let bad fmt = Printf.ksprintf invalid_arg ("Loop.run: " ^^ fmt) in
+  if sc.sc_epochs <= 0 then bad "sc_epochs must be positive";
+  if not (Float.is_finite sc.sc_epoch_len && sc.sc_epoch_len > 0.) then
+    bad "sc_epoch_len must be finite and positive (got %g)" sc.sc_epoch_len;
+  if params.churn_budget < 0 then
+    bad "churn_budget must be non-negative (got %d)" params.churn_budget;
+  if Float.is_nan params.hysteresis || params.hysteresis < 0. then
+    bad "hysteresis must be a non-negative number (got %g)" params.hysteresis;
+  match (arm, on_system, params.placement) with
+  | (Static | Oracle), Some _, _ ->
+    bad
+      "~on_system is only honoured by the live arms (closed-loop, anycast); the %s arm \
+       never assembles a system"
+      (arm_name arm)
+  | (Static | Oracle | Anycast_dist), _, Some _ ->
+    bad "params.placement is only honoured by the closed-loop arm; the %s arm would \
+         ignore it"
+      (arm_name arm)
+  | _ -> ()
 
 let run ?(params = default_params) ?on_system sc arm =
-  if sc.sc_epochs <= 0 then invalid_arg "Loop.run: sc_epochs must be positive";
-  (match (arm, on_system) with
-  | (Static | Oracle), Some _ ->
-    invalid_arg
-      (Printf.sprintf
-         "Loop.run: ~on_system is only honoured by the live arms \
-          (closed-loop, anycast); the %s arm never assembles a system"
-         (arm_name arm))
-  | _ -> ());
+  validate params sc arm on_system;
+  let ctx = { sc; p = params; moved = Array.make sc.sc_epochs 0; failed_now = ref [] } in
   match arm with
-  | Static -> run_static sc
-  | Oracle -> run_oracle sc
-  | Closed_loop -> run_closed ?on_system sc params
-  | Anycast_dist -> run_anycast ?on_system sc params
+  | Static -> static ctx
+  | Oracle -> oracle ctx
+  | Closed_loop -> closed_loop ?on_system ctx
+  | Anycast_dist -> anycast ?on_system ctx

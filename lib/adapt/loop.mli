@@ -6,14 +6,15 @@
     through the control plane's two-phase commit while the flow simulator
     scores each epoch.
 
-    Four arms share one scenario so adaptation can be isolated:
-    [Static] solves once at epoch 0 and never reacts; [Oracle] fully
-    re-solves each epoch with perfect instantaneous knowledge (the upper
-    bound); [Closed_loop] runs the whole measured pipeline, including
-    report latency/loss and rollout delay; [Anycast_dist] runs the
-    decentralized {!Anycast} agents — per-site flooded load advertisements
-    and local greedy rule re-pointing, no Global Switchboard in the loop
-    after establishment. *)
+    Four arms share one scenario and one epoch driver (grid, probes,
+    scoring, report); each adds only what differs. [Static] solves once at
+    epoch 0; [Oracle] re-solves each epoch with perfect knowledge (the
+    upper bound); [Closed_loop] adds a sense -> decide -> actuate control
+    tick ({!Place} is the optional decide stage) and is scored on the
+    installed routes, so report latency/loss and rollout delay count;
+    [Anycast_dist] adds the {!Anycast} agents' advertise and decide ticks
+    — flooded load advertisements and local greedy re-pointing, no Global
+    Switchboard after establishment. *)
 
 type scenario = {
   sc_model : Sb_core.Model.t;
@@ -61,7 +62,7 @@ type params = {
           site followed by {!Sb_ctrl.System.drain_and_remove}, and the
           epoch tick drives the flow-expiry clock so drains complete.
           [None] (the default) leaves the route-only loop bit-identical
-          to its pre-placement behaviour. Ignored by the other arms. *)
+          to its pre-placement behaviour. Other arms reject [Some _]. *)
 }
 
 val default_params : params
@@ -106,6 +107,10 @@ val run :
     scenario and params. [on_system] is called with the assembled control
     plane once the initial chains are committed, before the epoch grid is
     scheduled — the [sb_chaos] injection point for faulting a live arm
-    mid-flight. Only the live arms ([Closed_loop], [Anycast_dist]) build a
-    system; passing [on_system] with [Static] or [Oracle] raises
-    [Invalid_argument] instead of silently never calling it. *)
+    mid-flight.
+
+    Raises [Invalid_argument] before anything runs on a non-positive
+    [sc_epochs]; an [sc_epoch_len] that is NaN, infinite, zero or
+    negative; a negative [churn_budget]; a NaN or negative [hysteresis];
+    [on_system] with [Static] or [Oracle], which never build a system; or
+    [placement = Some _] with any arm but [Closed_loop]. *)

@@ -121,10 +121,10 @@ let transitions_of_routes ~nstages routes =
            (fun r -> (r.element_sites.(stage), r.element_sites.(stage + 1), r.weight))
            routes))
 
-(* Per-VNF, per-site admission demand. The accumulation ([cur +. w*T] in
-   route-list order per site) replicates [System.vnf_demand_per_site]
-   float for float, so an admission decision taken from a shipped
-   [cd_demand] row equals one recomputed from the full route set. *)
+(* Per-VNF, per-site admission demand, accumulated as [cur +. w*T] in
+   route-list order per site — float for float what recomputing it from
+   the full route set gives, so an admission decision taken from a
+   shipped [cd_demand] row equals one recomputed from the routes. *)
 let demands_of_routes spec routes =
   let elements = Array.of_list ((-1) :: spec.vnfs @ [ -2 ]) in
   List.sort_uniq compare spec.vnfs
@@ -295,4 +295,3 @@ let stats (t : t) =
   }
 
 let prepared_version (p : prepared) = p.p_version
-let prepared_chain (p : prepared) = p.p_chain

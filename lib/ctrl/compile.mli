@@ -80,9 +80,11 @@ val transitions_of_routes : nstages:int -> route list -> transitions array
 
 val demands_of_routes : chain_spec -> route list -> (int * (int * float) list) list
 (** Per unique VNF (ascending), the per-site admission demand
-    [(site, load)] sorted by site. Float accumulation order matches the
-    uncompiled [vnf_demand_per_site], so shipped demand rows admit
-    identically to locally recomputed ones. *)
+    [(site, load)] sorted by site: [load] accumulates [weight *. traffic]
+    over the routes in route-list order, once per chain element the VNF
+    occupies at that site. These are the rows a delta's [cd_demand] ships
+    and VNF controllers admit from; test_compile pins them bit for bit
+    against a per-VNF recomputation from the route set. *)
 
 type stats = {
   chains : int;
@@ -96,4 +98,3 @@ val stats : t -> stats
     chains reusing VNF suffixes. *)
 
 val prepared_version : prepared -> int
-val prepared_chain : prepared -> int

@@ -50,8 +50,8 @@ type txn = {
   tx_chain : int;
   tx_routes : route list;
   tx_spec : chain_spec;
-  tx_prepared : Compile.prepared option; (* delta rollout: compiled target *)
-  tx_delta : chain_delta option; (* delta rollout: the wire diff *)
+  tx_prepared : Compile.prepared; (* the compiled target *)
+  tx_delta : chain_delta; (* the wire diff *)
   mutable tx_waiting : string list;
   mutable tx_rejected : (int * int) list;
   tx_exclude : (int * int) list;
@@ -69,15 +69,14 @@ type decision = {
 }
 
 (* A route set requested while the chain's transaction was still
-   collecting votes. Under delta rollout the queue also carries the
-   compiled target and a delta kept valid by {!Compile.compose} across
-   supersedes — replacing the delta outright, as the old route-list queue
-   did with routes, would silently drop the superseded update's changed
-   stages from what eventually ships. *)
+   collecting votes, with its compiled target and a delta kept valid by
+   {!Compile.compose} across supersedes — replacing the delta outright,
+   as the old route-list queue did with routes, would silently drop the
+   superseded update's changed stages from what eventually ships. *)
 type queued = {
   q_routes : route list;
   q_exclude : (int * int) list;
-  q_comp : (Compile.prepared * chain_delta) option;
+  q_comp : Compile.prepared * chain_delta;
 }
 
 (* A Local Switchboard's view of one chain: spec, egress label and the
@@ -110,8 +109,6 @@ type local_sb = {
   ls_subscribed : (string, unit) Hashtbl.t;
 }
 
-type rollout = Delta_rollout | Full_rollout
-
 (* Deployment-churn counters: how much elastic placement has reshaped the
    fabric. Scale-outs and retractions are rare control-plane events, so a
    plain capped list is the drain-duration reservoir. *)
@@ -136,7 +133,6 @@ type t = {
   delay : int -> int -> float;
   install_latency : float;
   retry_interval : float;
-  rollout : rollout;
   mutable compiled : Compile.t;
   (* The Global Switchboard's committed decision diagrams; prepared
      updates diff against this snapshot to build delta payloads. *)
@@ -205,8 +201,9 @@ let ls_subscribe t ls topic callback =
     Bus.subscribe t.bus ~site:ls.ls_site ~topic callback
   end
 
-(* The weighted rules at [ls] for one stage of one chain, or (None, None)
-   when some required weight information has not arrived yet. The first
+(* The weighted rules at [ls] for one stage of one chain: [None] while
+   some required weight information has not arrived yet, [Some (None,
+   None)] when the stage's routes do not touch this site. The first
    component is the full rule; the second is the receiver-side rule
    (local deliveries only) installed when this site receives the stage's
    traffic — a packet handed over by a remote forwarder is mid-relay and
@@ -216,9 +213,10 @@ let ls_subscribe t ls topic callback =
    chain routing and collide in the fabric's role-keyed flow store).
 
    The fold runs over the stage's transition table in route-list order —
-   the same floats in the same order whether the table arrived in a full
-   route set or as a compiled delta, so both rollout modes produce
-   bit-identical rules. *)
+   the same floats in the same order whether the table arrived as a
+   compiled delta or from the retained full route set (a heal), so a site
+   that healed installs bit-identical rules to one that never lost a
+   delta. *)
 let compute_stage_rule t ls (lc : local_chain) stage =
   let spec = lc.lc_spec in
   let elements = chain_elements spec in
@@ -274,8 +272,8 @@ let compute_stage_rule t ls (lc : local_chain) stage =
         if next_vnf = -2 then local_egress () else local_instances ()
       end)
     lc.lc_tr.(stage);
-  if not !relevant then (None, None)
-  else if !missing then (None, None)
+  if not !relevant then Some (None, None)
+  else if !missing then None
   else begin
     (* Merge duplicate targets. *)
     let merge lst =
@@ -287,8 +285,7 @@ let compute_stage_rule t ls (lc : local_chain) stage =
         lst;
       Hashtbl.fold (fun tgt w acc -> (tgt, w) :: acc) merged [] |> List.sort compare
     in
-    ( Some (merge !targets),
-      match !rx_targets with [] -> None | rx -> Some (merge rx) )
+    Some (Some (merge !targets), match !rx_targets with [] -> None | rx -> Some (merge rx))
   end
 
 let try_install t ls (lc : local_chain) =
@@ -296,19 +293,22 @@ let try_install t ls (lc : local_chain) =
   let changed = ref [] in
   for stage = 0 to Array.length lc.lc_tr - 1 do
     match compute_stage_rule t ls lc stage with
-    | None, _ -> ()
-    | Some rule, rx ->
+    | None -> ()
+    | Some (rule, rx) ->
       let key = (lc.lc_id, egress, stage) in
-      let unchanged =
-        Hashtbl.find_opt ls.ls_installed key = Some rule
-        && Hashtbl.find_opt ls.ls_installed_rx key = rx
-      in
-      if not unchanged then begin
-        Hashtbl.replace ls.ls_installed key rule;
-        (match rx with
-        | Some r -> Hashtbl.replace ls.ls_installed_rx key r
-        | None -> Hashtbl.remove ls.ls_installed_rx key);
-        changed := (stage, rule, rx) :: !changed
+      let old_rx = Hashtbl.find_opt ls.ls_installed_rx key in
+      if Hashtbl.find_opt ls.ls_installed key <> rule || old_rx <> rx then begin
+        let set tbl = function
+          | Some r -> Hashtbl.replace tbl key r
+          | None -> Hashtbl.remove tbl key
+        in
+        set ls.ls_installed rule;
+        set ls.ls_installed_rx rx;
+        (* Rules the current routes no longer call for are retracted (an
+           empty patch), as a replay of those routes from empty would never
+           have installed them. *)
+        let rx = if rx = None && old_rx <> None then Some [] else rx in
+        changed := (stage, Option.value rule ~default:[], rx) :: !changed
       end
   done;
   match List.rev !changed with
@@ -497,28 +497,12 @@ let ls_apply_delta t ls ~chain ~egress ~spec (d : chain_delta) =
 
 (* --------------------------- VNF controller ------------------------- *)
 
-let vnf_demand_per_site spec routes vnf =
-  let elements = chain_elements spec in
-  let demand = Hashtbl.create 4 in
-  List.iter
-    (fun r ->
-      Array.iteri
-        (fun z v ->
-          if v = vnf then begin
-            let s = r.element_sites.(z) in
-            let cur = try Hashtbl.find demand s with Not_found -> 0. in
-            Hashtbl.replace demand s (cur +. (r.weight *. spec.traffic))
-          end)
-        elements)
-    routes;
-  demand
-
 let vnf_committed_at v ~excluding_chain site =
   Hashtbl.fold
     (fun (c, s) load acc -> if s = site && c <> excluding_chain then acc +. load else acc)
     v.v_committed 0.
 
-let vnf_on_prepare t (v : vnf_ctl) ~txid ~chain ~routes ~delta ~spec =
+let vnf_on_prepare t (v : vnf_ctl) ~txid ~chain ~(delta : chain_delta) =
   let ok = ref true in
   let rejected = ref [] in
   let check site load =
@@ -532,32 +516,24 @@ let vnf_on_prepare t (v : vnf_ctl) ~txid ~chain ~routes ~delta ~spec =
     end
   in
   let reserved =
-    match delta with
+    match List.assoc_opt v.v_id delta.cd_demand with
+    | Some rows ->
+      (* The delta ships this VNF's new demand rows
+         ([Compile.demands_of_routes]). *)
+      List.iter (fun (s, l) -> check s l) rows;
+      (chain, rows, true)
     | None ->
-      (* Full payload: recompute demand from the shipped route set. *)
-      let demand = vnf_demand_per_site spec routes v.v_id in
-      Hashtbl.iter check demand;
-      (chain, Hashtbl.fold (fun s l acc -> (s, l) :: acc) demand [], true)
-    | Some d -> (
-      match List.assoc_opt v.v_id d.cd_demand with
-      | Some rows ->
-        (* Demand rows shipped in the delta admit exactly as recomputed
-           ones would ([Compile.demands_of_routes] replicates the float
-           accumulation). *)
-        List.iter (fun (s, l) -> check s l) rows;
-        (chain, rows, true)
-      | None ->
-        (* This VNF's demand is unchanged by the delta: re-reserve the
-           committed allocation (still admission-checked — capacity may
-           have shrunk) and skip the Instance_info republish at commit. *)
-        let rows =
-          Hashtbl.fold
-            (fun (c, s) load acc -> if c = chain then (s, load) :: acc else acc)
-            v.v_committed []
-          |> List.sort compare
-        in
-        List.iter (fun (s, l) -> check s l) rows;
-        (chain, rows, false))
+      (* This VNF's demand is unchanged by the delta: re-reserve the
+         committed allocation (still admission-checked — capacity may
+         have shrunk) and skip the Instance_info republish at commit. *)
+      let rows =
+        Hashtbl.fold
+          (fun (c, s) load acc -> if c = chain then (s, load) :: acc else acc)
+          v.v_committed []
+        |> List.sort compare
+      in
+      List.iter (fun (s, l) -> check s l) rows;
+      (chain, rows, false)
   in
   if !ok then Hashtbl.replace v.v_reserved txid reserved;
   let vote =
@@ -679,32 +655,22 @@ let gsb_on_ack t ~txid ~participant =
 let compose_queued t (cs : chain_state) routes =
   let base, older =
     match Hashtbl.find_opt t.queued_routes cs.c_id with
-    | Some { q_comp = Some (qp, qd); _ } -> (Some qp, Some qd)
-    | _ -> (
-      match
-        Option.bind (Hashtbl.find_opt t.chain_inflight cs.c_id)
-          (Hashtbl.find_opt t.txns)
-      with
-      | Some tx -> (tx.tx_prepared, None)
-      | None -> (None, None))
+    | Some { q_comp = qp, qd; _ } -> (qp, Some qd)
+    | None ->
+      let tx = Hashtbl.find t.txns (Hashtbl.find t.chain_inflight cs.c_id) in
+      (tx.tx_prepared, None)
   in
-  match base with
-  | None -> None
-  | Some bp ->
-    let version =
-      match older with
-      | Some _ -> Compile.prepared_version bp (* replace the queued slot *)
-      | None -> Compile.prepared_version bp + 1 (* first queued update *)
-    in
-    let p = Compile.prepare t.compiled ~version ~chain:cs.c_id ~spec:cs.c_spec ~routes in
-    let d = Compile.delta_between t.compiled ~base:bp ~target:p in
-    let d = match older with Some od -> Compile.compose od d | None -> d in
-    Some (p, d)
+  let version =
+    match older with
+    | Some _ -> Compile.prepared_version base (* replace the queued slot *)
+    | None -> Compile.prepared_version base + 1 (* first queued update *)
+  in
+  let p = Compile.prepare t.compiled ~version ~chain:cs.c_id ~spec:cs.c_spec ~routes in
+  let d = Compile.delta_between t.compiled ~base ~target:p in
+  (p, match older with Some od -> Compile.compose od d | None -> d)
 
-let rec gsb_start_2pc t (cs : chain_state) routes ~exclude =
-  gsb_start_2pc_comp t cs routes ~exclude ~comp:None
-
-and gsb_start_2pc_comp t (cs : chain_state) routes ~exclude ~comp =
+(* [comp] is a queued update's already composed target and delta. *)
+let rec gsb_start_2pc ?comp t (cs : chain_state) routes ~exclude =
   if t.gsb_down then
     logf t (fun m -> m "gsb: down; dropping 2pc for chain %d" cs.c_id)
   else if Hashtbl.mem t.chain_inflight cs.c_id then begin
@@ -712,24 +678,17 @@ and gsb_start_2pc_comp t (cs : chain_state) routes ~exclude ~comp =
        starts once the in-flight transaction decides. *)
     logf t (fun m ->
         m "gsb: chain %d transaction in flight; queueing route update" cs.c_id);
-    let q_comp =
-      match t.rollout with
-      | Full_rollout -> None
-      | Delta_rollout -> compose_queued t cs routes
-    in
+    let q_comp = compose_queued t cs routes in
     Hashtbl.replace t.queued_routes cs.c_id
       { q_routes = routes; q_exclude = exclude; q_comp }
   end
   else begin
     let prepared, delta =
-      match t.rollout with
-      | Full_rollout -> (None, None)
-      | Delta_rollout -> (
-        match comp with
-        | Some (p, d) -> (Some p, Some d)
-        | None ->
-          let p = Compile.prepare t.compiled ~chain:cs.c_id ~spec:cs.c_spec ~routes in
-          (Some p, Some (Compile.delta_from_committed t.compiled p)))
+      match comp with
+      | Some pd -> pd
+      | None ->
+        let p = Compile.prepare t.compiled ~chain:cs.c_id ~spec:cs.c_spec ~routes in
+        (p, Compile.delta_from_committed t.compiled p)
     in
     let txid = t.next_txid in
     t.next_txid <- txid + 1;
@@ -757,16 +716,12 @@ and gsb_start_2pc_comp t (cs : chain_state) routes ~exclude ~comp =
         gsb_on_vote t ~txid ~participant ~accept ~rejected
       | Decision_ack { txid; participant } -> gsb_on_ack t ~txid ~participant
       | _ -> ());
-    (* Under delta rollout the Prepare carries only the compiled diff —
-       the O(churn) payload; the full route set rides only in Full mode. *)
-    let wire_routes =
-      match t.rollout with Full_rollout -> routes | Delta_rollout -> []
-    in
+    (* The Prepare carries only the compiled diff: the O(churn) payload. *)
     let send_prepares names =
       List.iter
         (fun name ->
           Bus.publish t.bus ~site:t.gsb_site ~topic:(participant_topic ~name)
-            (Prepare { txid; chain = cs.c_id; routes = wire_routes; delta; spec = cs.c_spec }))
+            (Prepare { txid; chain = cs.c_id; delta; spec = cs.c_spec }))
         names
     in
     send_prepares (participants_of cs.c_spec);
@@ -805,34 +760,23 @@ and gsb_on_vote t ~txid ~participant ~accept ~rejected =
             (* Commit. *)
             register_decision t ~txid ~spec:tx.tx_spec (Commit { txid });
             cs.c_routes <- tx.tx_routes;
-            (match tx.tx_prepared with
-            | Some p -> t.compiled <- Compile.commit t.compiled ~chain:tx.tx_chain p
-            | None -> ());
+            t.compiled <- Compile.commit t.compiled ~chain:tx.tx_chain tx.tx_prepared;
             logf t (fun m ->
                 m "gsb: 2pc commit tx%d; chain %d routes installed" txid tx.tx_chain);
             persist_chain t cs;
             let egress = Option.get cs.c_egress in
-            (match tx.tx_delta with
-            | Some d ->
-              (* O(churn) announcement on the broadcast topic; the full
-                 route set stays retained on the chain's route topic —
-                 normally subscriber-free, so it costs no wide-area bytes
-                 — as the heal point for version-gapped sites. *)
-              Bus.publish t.bus ~site:t.gsb_site ~topic:broadcast_topic
-                (Route_delta
-                   { chain = cs.c_id; egress_label = egress; spec = cs.c_spec; delta = d });
-              Bus.publish t.bus ~site:t.gsb_site ~topic:(route_topic ~chain:cs.c_id)
-                (Route_update
-                   { chain = cs.c_id; egress_label = egress; spec = cs.c_spec;
-                     routes = tx.tx_routes; version = d.cd_target })
-            | None ->
-              let update =
-                Route_update
-                  { chain = cs.c_id; egress_label = egress; spec = cs.c_spec;
-                    routes = tx.tx_routes; version = 0 }
-              in
-              Bus.publish t.bus ~site:t.gsb_site ~topic:broadcast_topic update;
-              Bus.publish t.bus ~site:t.gsb_site ~topic:(route_topic ~chain:cs.c_id) update)
+            (* O(churn) announcement on the broadcast topic; the full route
+               set stays retained on the chain's route topic — normally
+               subscriber-free, so it costs no wide-area bytes — as the
+               heal point for version-gapped sites. *)
+            Bus.publish t.bus ~site:t.gsb_site ~topic:broadcast_topic
+              (Route_delta
+                 { chain = cs.c_id; egress_label = egress; spec = cs.c_spec;
+                   delta = tx.tx_delta });
+            Bus.publish t.bus ~site:t.gsb_site ~topic:(route_topic ~chain:cs.c_id)
+              (Route_update
+                 { chain = cs.c_id; egress_label = egress; spec = cs.c_spec;
+                   routes = tx.tx_routes; version = tx.tx_delta.cd_target })
           end
           else begin
             register_decision t ~txid ~spec:tx.tx_spec (Abort { txid });
@@ -857,18 +801,18 @@ and gsb_on_vote t ~txid ~participant ~accept ~rejected =
             match Hashtbl.find_opt t.queued_routes tx.tx_chain with
             | Some q -> (
               Hashtbl.remove t.queued_routes tx.tx_chain;
-              match q.q_comp with
-              | Some (p, d)
-                when (d.cd_full || d.cd_base = Compile.version t.compiled ~chain:tx.tx_chain)
-                     && Compile.prepared_version p
-                        = Compile.version t.compiled ~chain:tx.tx_chain + 1 ->
+              let p, d = q.q_comp in
+              let committed = Compile.version t.compiled ~chain:tx.tx_chain in
+              if
+                (d.cd_full || d.cd_base = committed)
+                && Compile.prepared_version p = committed + 1
+              then
                 (* The in-flight transaction committed the base this delta
                    was composed against: ship the composed delta as-is. *)
-                gsb_start_2pc_comp t cs q.q_routes ~exclude:q.q_exclude
-                  ~comp:(Some (p, d))
-              | _ ->
-                (* Aborted base (or Full mode): recompute against the
-                   still-committed state from the stored full routes. *)
+                gsb_start_2pc ~comp:q.q_comp t cs q.q_routes ~exclude:q.q_exclude
+              else
+                (* Aborted base: recompute against the still-committed
+                   state from the stored full routes. *)
                 gsb_start_2pc t cs q.q_routes ~exclude:q.q_exclude)
             | None -> ()
           end
@@ -901,8 +845,8 @@ let gsb_on_request t ~chain ~spec =
 (* ------------------------------ Assembly ---------------------------- *)
 
 let create ?(seed = 11) ?(install_latency = 0.09) ?(egress_rate = 20_000.)
-    ?bus_bandwidth ?(retry_interval = 0.5) ?flow_store ?(lanes = 1)
-    ?(rollout = Delta_rollout) ~num_sites ~delay ~gsb_site () =
+    ?bus_bandwidth ?(retry_interval = 0.5) ?flow_store ?(lanes = 1) ~num_sites ~delay
+    ~gsb_site () =
   let eng = Engine.create () in
   let bus =
     Bus.create eng ~mode:Bus.Switchboard ~num_sites ~delay ~egress_rate
@@ -939,7 +883,6 @@ let create ?(seed = 11) ?(install_latency = 0.09) ?(egress_rate = 20_000.)
       delay;
       install_latency;
       retry_interval;
-      rollout;
       compiled = Compile.empty ();
       vnf_ctls = Hashtbl.create 8;
       chains = Hashtbl.create 8;
@@ -979,14 +922,10 @@ let create ?(seed = 11) ?(install_latency = 0.09) ?(egress_rate = 20_000.)
       Bus.publish bus ~site:gsb_site ~topic:(votes_topic ~txid)
         (Decision_ack { txid; participant = "edge" })
     | _ -> ());
-  (* Every Local Switchboard watches for committed routes — full route
-     sets (Full mode, coordinator recovery) and compiled deltas. *)
+  (* Every Local Switchboard watches for committed deltas. *)
   Array.iter
     (fun ls ->
       Bus.subscribe bus ~site:ls.ls_site ~topic:broadcast_topic (function
-        | Route_update { chain; egress_label; spec; routes; version } ->
-          ls_apply_full t ls ~chain ~egress:egress_label ~spec ~version
-            (Compile.transitions_of_routes ~nstages:(List.length spec.vnfs + 1) routes)
         | Route_delta { chain; egress_label; spec; delta } ->
           ls_apply_delta t ls ~chain ~egress:egress_label ~spec delta
         | _ -> ()))
@@ -1019,14 +958,14 @@ let deploy_vnf t ~vnf ~site ~capacity ~instances =
           (Decision_ack { txid; participant = name })
       in
       Bus.subscribe t.bus ~site ~topic:(participant_topic ~name) (function
-        | Prepare { txid; chain; routes; delta; spec } -> (
+        | Prepare { txid; chain; delta; spec } -> (
           match Hashtbl.find_opt v.v_voted txid with
           | Some vote ->
             (* Retransmitted Prepare: the original Vote was lost. Answer
                from memory — recomputing could double-reserve. *)
             Bus.publish t.bus ~site:v.v_home ~topic:(votes_topic ~txid) vote
           | None ->
-            vnf_on_prepare t v ~txid ~chain ~routes ~delta ~spec;
+            vnf_on_prepare t v ~txid ~chain ~delta;
             (* Remember the chain/egress for the commit. *)
             Hashtbl.replace t.pending_commits txid (chain, spec))
         | Commit { txid } ->
@@ -1260,15 +1199,6 @@ let site_known_chains t ~site =
       (id, lc.lc_egress, List.length lc.lc_spec.vnfs + 1) :: acc)
     t.locals.(site).ls_known []
   |> List.sort compare
-
-let site_chain_measurements t ~site ~chain =
-  match Hashtbl.find_opt t.locals.(site).ls_known chain with
-  | Some lc ->
-    let stages = List.length lc.lc_spec.vnfs + 1 in
-    Array.init stages (fun stage ->
-        DP.site_stage_counters t.fabric ~site:t.sites.(site).fab_site
-          ~chain_label:chain ~egress_label:lc.lc_egress ~stage)
-  | None -> [||]
 
 let site_chain_measurements_into t ~site ~chain ~pkts ~bytes =
   match Hashtbl.find_opt t.locals.(site).ls_known chain with

@@ -19,17 +19,16 @@
 
 type t
 
-type rollout = Delta_rollout | Full_rollout
-(** How committed route state reaches participants and Local Switchboards.
-    [Delta_rollout] (the default) compiles route sets into hash-consed
-    decision diagrams ({!Compile}), ships only the changed stages and
-    changed per-VNF demand rows through the 2PC and the commit
-    announcement, and skips the per-site [Instance_info] republish for
-    VNFs whose demand did not move — bytes on the wire scale with an
-    epoch's churn, not the chain's size. [Full_rollout] is the original
-    protocol: full route sets in every Prepare and Route_update. Both
-    modes produce bit-identical installed rules, traces and counters
-    (pinned by the equivalence tests). *)
+(** Committed route state reaches participants and Local Switchboards as
+    compiled deltas: route sets compile into hash-consed decision diagrams
+    ({!Compile}), the 2PC and the commit announcement ship only the
+    changed stages and changed per-VNF demand rows, and the per-site
+    [Instance_info] republish is skipped for VNFs whose demand did not
+    move — bytes on the wire scale with an epoch's churn, not the chain's
+    size. A new chain (or a recovered coordinator's re-drive) is the
+    delta from the empty diagram ([cd_full]). Each commit also retains
+    the chain's full route set on its route topic, the heal point a
+    Local Switchboard with a version gap subscribes to. *)
 
 val create :
   ?seed:int ->
@@ -39,7 +38,6 @@ val create :
   ?retry_interval:float ->
   ?flow_store:Sb_dataplane.Plane.flow_store ->
   ?lanes:int ->
-  ?rollout:rollout ->
   num_sites:int ->
   delay:(int -> int -> float) ->
   gsb_site:int ->
@@ -267,16 +265,12 @@ val site_known_chains : t -> site:int -> (int * int * int) list
     Switchboard has learned via route updates — the chain universe a
     site-local telemetry exporter iterates. Sorted by chain id. *)
 
-val site_chain_measurements : t -> site:int -> chain:int -> (int * int) array
-(** Per-stage [(packets, bytes)] measured at this site's forwarders only,
-    based on the Local Switchboard's chain knowledge; empty for a chain the
-    site has not learned. Summed over all sites this equals
-    {!chain_measurements}. *)
-
 val site_chain_measurements_into :
   t -> site:int -> chain:int -> pkts:int array -> bytes:int array -> int
-(** Bulk {!site_chain_measurements} into caller-owned buffers: fills
-    [pkts]/[bytes] (indexed by stage) in one pass over the site's
+(** Per-stage packets and bytes measured at this site's forwarders only,
+    based on the Local Switchboard's chain knowledge (summed over all
+    sites this equals {!chain_measurements}), into caller-owned buffers:
+    fills [pkts]/[bytes] (indexed by stage) in one pass over the site's
     forwarders and returns the chain's stage count, or [-1] for a chain
     the site has not learned (buffers untouched). Raises
     [Invalid_argument] if the buffers are shorter than the stage count.
@@ -285,8 +279,7 @@ val site_chain_measurements_into :
 
 val site_chain_version : t -> site:int -> chain:int -> int option
 (** The route-state version the site's Local Switchboard has applied for
-    a chain (delta lineage guard); [None] for an unlearned chain. Under
-    [Full_rollout] versions are always 0. *)
+    a chain (delta lineage guard); [None] for an unlearned chain. *)
 
 (** {2 Whole-system introspection (the [sb_chaos] invariant checker)} *)
 
@@ -336,7 +329,7 @@ val site_deployed_vnfs : t -> site:int -> int list
 val site_stage_packets : t -> site:int -> chain:int -> egress:int -> stage:int -> int
 (** Cumulative packets the site's forwarders handled for a
     [(chain, egress, stage)] rule, summed over lanes — unlike
-    {!site_chain_measurements} it takes the egress label explicitly, so it
+    {!site_chain_measurements_into} it takes the egress label explicitly, so it
     works at sites whose Local Switchboard never learned the chain. *)
 
 val apply_site_patches : t -> site:int -> Sb_dataplane.Plane.rule_patch list -> unit

@@ -34,8 +34,7 @@ type msg =
   | Prepare of {
       txid : int;
       chain : int;
-      routes : route list;
-      delta : chain_delta option;
+      delta : chain_delta;
       spec : chain_spec;
     }
   | Vote of { txid : int; participant : string; accept : bool; rejected : (int * int) list }
@@ -90,15 +89,11 @@ let advert_topic ~site = Printf.sprintf "/advert/s%d" site
 
 let pp_msg ppf = function
   | Chain_request { chain; spec } -> Format.fprintf ppf "Chain_request(%d, %s)" chain spec.spec_name
-  | Prepare { txid; chain; routes; delta; _ } -> (
-    match delta with
-    | None ->
-      Format.fprintf ppf "Prepare(tx%d chain%d %d routes)" txid chain (List.length routes)
-    | Some d ->
-      Format.fprintf ppf "Prepare(tx%d chain%d delta v%d->v%d %s%d stages)" txid chain
-        d.cd_base d.cd_target
-        (if d.cd_full then "full " else "")
-        (List.length d.cd_stages))
+  | Prepare { txid; chain; delta = d; _ } ->
+    Format.fprintf ppf "Prepare(tx%d chain%d delta v%d->v%d %s%d stages)" txid chain
+      d.cd_base d.cd_target
+      (if d.cd_full then "full " else "")
+      (List.length d.cd_stages)
   | Vote { txid; participant; accept; rejected } ->
     Format.fprintf ppf "Vote(tx%d %s %b, %d rejected)" txid participant accept
       (List.length rejected)
@@ -145,6 +140,11 @@ let route_size r = (4 * Array.length r.element_sites) + 8
 let routes_size rs = List.fold_left (fun a r -> a + route_size r) 4 rs
 let pair_list_size l = (12 * List.length l) + 4
 
+(* A delta Prepare once also carried an empty route list (4 B count) and
+   an option tag (1 B). Both are gone from the message but not from its
+   price: bus latencies, and every figure built on them, assume it. *)
+let prepare_legacy_bytes = 5
+
 let delta_size d =
   let stages =
     List.fold_left (fun a sd -> a + 8 + (16 * Array.length sd.sd_tr)) 4 d.cd_stages
@@ -156,9 +156,8 @@ let delta_size d =
 
 let msg_size = function
   | Chain_request { spec; _ } -> header_bytes + 4 + spec_size spec
-  | Prepare { routes; delta; spec; _ } ->
-    header_bytes + 8 + spec_size spec + routes_size routes
-    + (match delta with None -> 1 | Some d -> 1 + delta_size d)
+  | Prepare { delta; spec; _ } ->
+    header_bytes + 8 + spec_size spec + prepare_legacy_bytes + delta_size delta
   | Vote { participant; rejected; _ } ->
     header_bytes + String.length participant + 5 + (8 * List.length rejected)
   | Commit _ | Abort _ -> header_bytes + 4

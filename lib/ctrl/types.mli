@@ -55,9 +55,10 @@ type chain_delta = {
   cd_target : int;  (** version after applying the delta *)
   cd_nstages : int;  (** total stages of the chain (sanity/fallback check) *)
   cd_full : bool;
-      (** [cd_stages] covers {e every} stage (new chain, recovery, or the
-          [`Full] rollout baseline): applied unconditionally, resetting
-          the participant's version lineage *)
+      (** [cd_stages] covers {e every} stage (a new chain or a recovered
+          coordinator's re-drive: the diff from the empty diagram):
+          applied unconditionally, resetting the participant's version
+          lineage *)
   cd_stages : stage_delta list;  (** ascending by stage *)
   cd_demand : (int * (int * float) list) list;
       (** per changed VNF, its new per-site admission demand
@@ -70,13 +71,9 @@ type msg =
   | Prepare of {
       txid : int;
       chain : int;
-      routes : route list;
-          (** full route set ([`Full] rollout mode only; empty under
-              delta rollout) *)
-      delta : chain_delta option;
-          (** compiled delta ([`Delta] rollout mode); VNF participants
-              admit from [cd_demand] instead of recomputing demand from
-              routes *)
+      delta : chain_delta;
+          (** the compiled delta; VNF participants admit from
+              [cd_demand] instead of recomputing demand from routes *)
       spec : chain_spec;
     }
   | Vote of { txid : int; participant : string; accept : bool; rejected : (int * int) list }
@@ -93,16 +90,19 @@ type msg =
       routes : route list;
       version : int;
     }
+      (** a chain's full committed route set, retained on {!route_topic}
+          (normally subscriber-free): the heal point a Local Switchboard
+          subscribes to when a {!Route_delta} does not fit its state *)
   | Route_delta of {
       chain : int;
       egress_label : int;
       spec : chain_spec;
       delta : chain_delta;
     }
-      (** the O(churn) commit announcement: broadcast on ["/chains"] in
-          delta rollout mode while the full {!Route_update} is retained on
-          {!route_topic} as the heal path for participants that detect a
-          version gap (e.g. after wide-area loss) *)
+      (** the O(churn) commit announcement, broadcast on ["/chains"]
+          while the full {!Route_update} is retained on {!route_topic} as
+          the heal path for participants that detect a version gap (e.g.
+          after wide-area loss) *)
   | Instance_info of { vnf : int; site : int; instances : (int * float) list }
       (** fabric VNF-instance ids and load-balancing weights *)
   | Forwarder_info of { vnf : int; site : int; forwarders : (int * float) list }
@@ -171,7 +171,10 @@ val msg_size : msg -> int
 (** Nominal serialized size in bytes (fixed header + flat field encoding:
     4 B ints, 8 B floats, strings verbatim). The {!Sb_msgbus.Bus} size
     hook — rollout bytes-on-wire measurements compare these across full
-    and delta payloads, so only relative payload scaling matters. *)
+    route sets and compiled deltas, so only relative payload scaling
+    matters. A [Prepare] is priced with 5 B more than its fields (the
+    empty route list and option tag it once carried), so bus latencies
+    stay as calibrated. *)
 
 val topic_class : string -> string
 (** Collapse a topic into its bounded family ("/chain/17/route" ->

@@ -914,7 +914,9 @@ type rule_patch = {
    whose packed form already matches the forwarder's live slot — the
    O(churn) write path of the compiled rollout. Each applied patch goes
    through the same kill/append/journal discipline as a full install, so
-   the arena and journal can't tell a delta from a reinstall. *)
+   the arena and journal can't tell a delta from a reinstall. An empty
+   target list retracts the rule (forwarding treats an empty rule and a
+   missing one alike, so only {!rule}/{!rx_rule} see the difference). *)
 let apply_delta t ~forwarder patches =
   let fd = get_fd t forwarder in
   let applied = ref 0 in
@@ -925,23 +927,25 @@ let apply_delta t ~forwarder patches =
       let tgt = Array.of_list (List.map (fun (h, _) -> pack h) p.rp_targets) in
       let ws = Array.of_list (List.map snd p.rp_targets) in
       let slot = slot_of map.(fd) ces in
+      let retract = p.rp_targets = [] in
       let same =
-        slot >= 0
-        && t.arena.s_len.(slot) = Array.length tgt
-        &&
-        let off = t.arena.s_off.(slot) in
-        let ok = ref true in
-        Array.iteri
-          (fun i v ->
-            if t.arena.tgt.(off + i) <> v || t.arena.w.(off + i) <> ws.(i) then
-              ok := false)
-          tgt;
-        !ok
+        if retract then slot < 0
+        else
+          slot >= 0
+          && t.arena.s_len.(slot) = Array.length tgt
+          &&
+          let off = t.arena.s_off.(slot) in
+          let ok = ref true in
+          Array.iteri
+            (fun i v ->
+              if t.arena.tgt.(off + i) <> v || t.arena.w.(off + i) <> ws.(i) then
+                ok := false)
+            tgt;
+          !ok
       in
       if not same then begin
         arena_kill t.arena slot;
-        let s = arena_append t.arena tgt ws in
-        set_slot map fd ces s;
+        set_slot map fd ces (if retract then -1 else arena_append t.arena tgt ws);
         t.journal <- t.journal + 1;
         incr applied
       end)

@@ -196,7 +196,9 @@ val apply_delta : t -> forwarder:int -> rule_patch list -> int
     patches actually mutated the rule store; each counts one journal
     entry, exactly as the equivalent {!install_rule}/{!install_rx_rule}
     call would, so the compiled rollout and a full reinstall are
-    indistinguishable to the arena. *)
+    indistinguishable to the arena. A patch with an empty target list
+    retracts the rule ({!rule}/{!rx_rule} return [None] again; forwarding
+    treats an empty rule and a missing one alike). *)
 
 val flow_table_size : t -> forwarder:int -> int
 

@@ -91,6 +91,7 @@ let on_fire t f = t.observers <- t.observers @ [ f ]
 let now t = t.clock
 
 let schedule_at t ~time action =
+  if Float.is_nan time then invalid_arg "Engine.schedule_at: NaN time";
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
   let id = t.next_id in
   t.next_id <- id + 1;
@@ -101,6 +102,7 @@ let schedule_at t ~time action =
   id
 
 let schedule t ~delay action =
+  if Float.is_nan delay then invalid_arg "Engine.schedule: NaN delay";
   if delay < 0. then invalid_arg "Engine.schedule: negative delay";
   schedule_at t ~time:(t.clock +. delay) action
 
@@ -131,6 +133,7 @@ let run t =
   loop ()
 
 let run_until t horizon =
+  if Float.is_nan horizon then invalid_arg "Engine.run_until: NaN horizon";
   if horizon < t.clock then invalid_arg "Engine.run_until: horizon in the past";
   let rec loop () =
     match Heap.peek t.heap with

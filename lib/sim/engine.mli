@@ -20,10 +20,11 @@ val now : t -> float
 
 val schedule : t -> delay:float -> (unit -> unit) -> event_id
 (** [schedule t ~delay f] runs [f] at [now t +. delay]. [delay] must be
-    non-negative; raises [Invalid_argument] otherwise. *)
+    non-negative and not NaN; raises [Invalid_argument] otherwise. *)
 
 val schedule_at : t -> time:float -> (unit -> unit) -> event_id
-(** [schedule_at t ~time f] runs [f] at absolute [time >= now t]. *)
+(** [schedule_at t ~time f] runs [f] at absolute [time >= now t]. Raises
+    [Invalid_argument] for a time in the past or a NaN time. *)
 
 val cancel : t -> event_id -> unit
 (** Cancel a pending event; cancelling a fired or already-cancelled event is
@@ -47,7 +48,8 @@ val on_fire : t -> (float -> unit) -> unit
 val run_until : t -> float -> unit
 (** [run_until t horizon] processes events with timestamp [<= horizon], then
     advances the clock to [horizon]. Events scheduled beyond the horizon
-    remain pending. *)
+    remain pending. Raises [Invalid_argument] for a horizon in the past or
+    a NaN horizon. *)
 
 val pending : t -> int
 (** Number of scheduled, uncancelled events. *)

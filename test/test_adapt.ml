@@ -379,6 +379,41 @@ let test_on_system_rejected_on_offline_arms () =
       | _ -> Alcotest.failf "%s arm accepted ~on_system" (Loop.arm_name arm))
     [ Loop.Static; Loop.Oracle ]
 
+(* [Loop.run] validates its inputs once, up front: each value below used to
+   hang the epoch grid (NaN or infinite epoch length), collapse it (zero),
+   crash inside the engine (negative), or silently disable re-routing or
+   placement. Each must raise before any arm is built. *)
+let validation_cases =
+  let d = Loop.default_params in
+  let placed = { d with Loop.placement = Some Place.default_params } in
+  let epoch_len = "sc_epoch_len must be finite and positive (got " in
+  let placement arm =
+    Printf.sprintf
+      "params.placement is only honoured by the closed-loop arm; the %s arm would ignore it"
+      arm
+  in
+  List.map
+    (fun (name, params, arm, len, msg) ->
+      Alcotest.test_case name `Quick (fun () ->
+          let sc = { (smoke_scenario ()) with Loop.sc_epoch_len = len } in
+          Alcotest.check_raises name (Invalid_argument ("Loop.run: " ^ msg)) (fun () ->
+              ignore (Loop.run ~params sc arm))))
+    [
+      ("NaN epoch length", d, Loop.Closed_loop, Float.nan, epoch_len ^ "nan)");
+      ("infinite epoch length", d, Loop.Closed_loop, Float.infinity, epoch_len ^ "inf)");
+      ("zero epoch length", d, Loop.Closed_loop, 0., epoch_len ^ "0)");
+      ("negative epoch length", d, Loop.Closed_loop, -1., epoch_len ^ "-1)");
+      ( "negative churn budget", { d with Loop.churn_budget = -1 }, Loop.Closed_loop, 1.,
+        "churn_budget must be non-negative (got -1)" );
+      ( "NaN hysteresis", { d with Loop.hysteresis = Float.nan }, Loop.Closed_loop, 1.,
+        "hysteresis must be a non-negative number (got nan)" );
+      ( "negative hysteresis", { d with Loop.hysteresis = -0.1 }, Loop.Closed_loop, 1.,
+        "hysteresis must be a non-negative number (got -0.1)" );
+      ("placement on static", placed, Loop.Static, 1., placement "static");
+      ("placement on oracle", placed, Loop.Oracle, 1., placement "oracle");
+      ("placement on anycast", placed, Loop.Anycast_dist, 1., placement "anycast");
+    ]
+
 (* Fault-injection path through the closed loop: a GSB outage covering the
    whole run means no control tick ever fires — the loop is frozen at its
    initial solve and scores exactly like the static arm, even as demand
@@ -492,6 +527,7 @@ let () =
           Alcotest.test_case "steady demand: closed >= static" `Quick
             test_closed_loop_tracks_static_on_steady_demand;
         ] );
+      ("validate", validation_cases);
       ( "anycast",
         [
           QCheck_alcotest.to_alcotest anycast_routing_valid;

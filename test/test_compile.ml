@@ -1,13 +1,13 @@
 (* The rule compiler (Sb_ctrl.Compile) and the delta rollout built on it.
 
-   The load-bearing property is EQUIVALENCE: a system rolling out compiled
-   deltas (the default) must end in exactly the state of one re-installing
-   full route sets — identical packed rule arrays on every forwarder,
-   identical probe traces, identical stage counters. The qcheck property
-   drives both through the same random op soup (chain requests, route
+   The load-bearing property is EQUIVALENCE: incremental ≡ replay from
+   empty. A system driven through a random op soup (chain requests, route
    updates, bursts that exercise the queued-delta composition, instance
-   scaling) and compares everything; on failure qcheck shrinks the op
-   seed. *)
+   scaling) must end in exactly the state of a fresh twin that installs
+   the same final routes in one commit per chain — a full delta from the
+   empty diagram: identical packed rule arrays on every forwarder,
+   identical probe traces, identical stage counters. On failure qcheck
+   shrinks the op seed. *)
 
 module S = Sb_ctrl.System
 module T = Sb_ctrl.Types
@@ -116,7 +116,47 @@ let test_compose_merges_stages () =
   | Some sd -> Alcotest.(check bool) "newer stage-0 row wins" true (sd.T.sd_tr = [| (0, 1, 1.0) |])
   | None -> Alcotest.fail "stage 0 missing from composed delta")
 
-(* ---------------- Delta vs Full rollout equivalence ------------------ *)
+(* ------------------- Admission demand rows (reference) --------------- *)
+
+(* The uncompiled per-site demand of one VNF, as VNF controllers once
+   recomputed it from a full route set on every Prepare: [cur +. w*T] in
+   route-list order per site, rows sorted by site. Compiled deltas ship
+   [Compile.demands_of_routes] instead, which must reproduce these floats
+   bit for bit, or an admission decision could flip. *)
+let vnf_demand_per_site sp routes vnf =
+  let elements = Array.of_list ((-1) :: sp.T.vnfs @ [ -2 ]) in
+  let demand = Hashtbl.create 4 in
+  List.iter
+    (fun r ->
+      Array.iteri
+        (fun z v ->
+          if v = vnf then begin
+            let s = r.T.element_sites.(z) in
+            let cur = try Hashtbl.find demand s with Not_found -> 0. in
+            Hashtbl.replace demand s (cur +. (r.T.weight *. sp.T.traffic))
+          end)
+        elements)
+    routes;
+  Hashtbl.fold (fun s l acc -> (s, l) :: acc) demand [] |> List.sort compare
+
+let gen_spec_routes =
+  QCheck.Gen.(
+    let* vnfs = list_size (int_range 1 4) (int_range 0 5) in
+    let* traffic = float_range 0.01 50. in
+    let sites = list_repeat (List.length vnfs + 2) (int_range 0 5) in
+    let* routes = list_size (int_range 1 5) (map2 route sites (float_range 0. 1.)) in
+    return ({ (spec "p" vnfs) with T.traffic }, routes))
+
+let prop_demands_match_reference =
+  QCheck.Test.make ~name:"demands_of_routes = per-VNF reference, bit for bit" ~count:300
+    (QCheck.make gen_spec_routes) (fun (sp, routes) ->
+      let bits rows = List.map (fun (s, l) -> (s, Int64.bits_of_float l)) rows in
+      List.map (fun (vnf, rows) -> (vnf, bits rows)) (C.demands_of_routes sp routes)
+      = List.map
+          (fun vnf -> (vnf, bits (vnf_demand_per_site sp routes vnf)))
+          (List.sort_uniq compare sp.T.vnfs))
+
+(* ------------- Incremental vs replay-from-empty equivalence ---------- *)
 
 (* Fixed topology: 4 sites, edges everywhere, vnfs 7/8/9 deployed at every
    site with capacity generous enough that most op soups commit but tight
@@ -125,10 +165,8 @@ let test_compose_merges_stages () =
 let num_sites = 4
 let vnf_pool = [| 7; 8; 9 |]
 
-let build ~rollout ~flow_store =
-  let sys =
-    S.create ~seed:42 ~rollout ~flow_store ~num_sites ~delay:delay30 ~gsb_site:0 ()
-  in
+let build ~flow_store =
+  let sys = S.create ~seed:42 ~flow_store ~num_sites ~delay:delay30 ~gsb_site:0 () in
   Array.iter
     (fun vnf ->
       for site = 0 to num_sites - 1 do
@@ -165,8 +203,8 @@ let policy sp ~exclude =
   | None, Some b -> Some [ { b with T.weight = 1.0 } ]
   | None, None -> None
 
-(* The op soup: a deterministic op list from one integer seed, applied
-   identically to both systems. `Burst` issues several updates
+(* The op soup: a deterministic op list from one integer seed. `Burst`
+   issues several updates
    back-to-back with no engine run between them — the first enters 2PC,
    the rest hit the queue and exercise Compile.compose. *)
 type op =
@@ -294,16 +332,38 @@ let check_equivalent ~msg a b chains =
         (S.chain_measurements a ~chain = S.chain_measurements b ~chain))
     chains
 
+(* The replay-from-empty twin of [a]: a fresh system applies [ops]'
+   instance scaling in order, then requests each of [a]'s chains with a
+   policy returning [a]'s final routes — one full-delta commit per chain
+   (a chain [a] never committed gets no route in the twin either). *)
+let replay_from_empty ~flow_store a ops chains =
+  let b = build ~flow_store in
+  List.iter
+    (function
+      | Scale (vi, site) -> S.scale_vnf_instances b ~vnf:vnf_pool.(vi) ~site ~count:1
+      | Request _ | Update _ | Burst _ | Run -> ())
+    ops;
+  let cb =
+    List.map
+      (fun chain ->
+        let routes = S.chain_routes a ~chain in
+        S.set_route_policy b (fun _ ~exclude:_ ->
+            if routes = [] then None else Some routes);
+        let c = S.request_chain b (Option.get (S.chain_spec a ~chain)) in
+        E.run (S.engine b);
+        c)
+      chains
+  in
+  Alcotest.(check (list int)) "same chain ids" chains cb;
+  b
+
 let equivalence_once ~flow_store seed =
   let ops = gen_ops seed in
-  let a = build ~rollout:S.Delta_rollout ~flow_store in
-  let b = build ~rollout:S.Full_rollout ~flow_store in
-  S.set_route_policy a (policy : T.chain_spec -> exclude:(int * int) list -> T.route list option);
-  S.set_route_policy b policy;
-  let ca = run_soup a ops in
-  let cb = run_soup b ops in
-  Alcotest.(check (list int)) "same chain ids" cb ca;
-  check_equivalent ~msg:(Printf.sprintf "seed %d" seed) a b ca;
+  let a = build ~flow_store in
+  S.set_route_policy a policy;
+  let chains = run_soup a ops in
+  let b = replay_from_empty ~flow_store a ops chains in
+  check_equivalent ~msg:(Printf.sprintf "seed %d" seed) a b chains;
   true
 
 let prop_equivalence_local =
@@ -321,25 +381,21 @@ let prop_equivalence_replicated =
    one. The composed delta must carry BOTH updates' changed stages; a
    replace (the old queue semantics) would ship a delta missing the
    second update's stages and the per-site rules would diverge from the
-   full-reinstall twin. *)
+   replay-from-empty twin. *)
 let test_queued_composition_regression () =
-  let mk rollout =
-    let sys = build ~rollout ~flow_store:DP.Local in
-    S.set_route_policy sys policy;
-    let chain = S.request_chain sys (spec "c" [ 7; 8 ]) in
-    E.run (S.engine sys);
-    (* Back-to-back: no engine run in between. *)
-    List.iter
-      (fun salt ->
-        match routes_for sys ~chain salt with
-        | Some routes -> S.update_routes sys ~chain routes
-        | None -> assert false)
-      [ 1; 2; 3 ];
-    E.run (S.engine sys);
-    (sys, chain)
-  in
-  let a, chain = mk S.Delta_rollout in
-  let b, _ = mk S.Full_rollout in
+  let a = build ~flow_store:DP.Local in
+  S.set_route_policy a policy;
+  let chain = S.request_chain a (spec "c" [ 7; 8 ]) in
+  E.run (S.engine a);
+  (* Back-to-back: no engine run in between. *)
+  List.iter
+    (fun salt ->
+      match routes_for a ~chain salt with
+      | Some routes -> S.update_routes a ~chain routes
+      | None -> assert false)
+    [ 1; 2; 3 ];
+  E.run (S.engine a);
+  let b = replay_from_empty ~flow_store:DP.Local a [] [ chain ] in
   check_equivalent ~msg:"queued-composition" a b [ chain ];
   (* The delta path really was exercised: the final committed version is
      1 (create) + 2 (first update in flight, then the composed queued
@@ -352,48 +408,34 @@ let test_queued_composition_regression () =
   done
 
 (* 2%-churn epoch: with 50 chains committed and 1 updated, the bytes the
-   delta rollout puts on the wide area must be <= 5% of re-serializing
-   the full rule set (a full-rollout epoch touching every chain) — the
-   ISSUE acceptance bar. wan_bytes is the right meter: the retained full
-   Route_update the delta mode keeps as a heal point has no subscribers
-   and so never crosses the wide area. *)
+   delta rollout puts on the wide area must be <= 5% of the full rule
+   set's, priced as the wide-area bytes of committing the same 50 chains
+   from empty. wan_bytes is the right meter: the retained full
+   Route_update kept as a heal point has no subscribers and so never
+   crosses the wide area. *)
 let test_churn_bytes_ratio () =
-  let with_chains rollout k =
-    let sys = build ~rollout ~flow_store:DP.Local in
-    S.set_route_policy sys policy;
-    S.set_logging sys false;
-    let chains =
-      List.init 50 (fun i ->
-          let c =
-            S.request_chain sys (spec ~traffic:0.1 (Printf.sprintf "c%d" i) [ 7; 8; 9 ])
-          in
-          E.run (S.engine sys);
-          c)
-    in
-    let bus = S.bus sys in
-    Sb_msgbus.Bus.reset_stats bus;
-    k sys chains;
-    E.run (S.engine sys);
-    (Sb_msgbus.Bus.stats bus).Sb_msgbus.Bus.wan_bytes
+  let sys = build ~flow_store:DP.Local in
+  S.set_route_policy sys policy;
+  S.set_logging sys false;
+  let bus = S.bus sys in
+  let wan_bytes () = (Sb_msgbus.Bus.stats bus).Sb_msgbus.Bus.wan_bytes in
+  (* Full rule set: the 50 chains committed from the empty diagram. *)
+  Sb_msgbus.Bus.reset_stats bus;
+  let chains =
+    List.init 50 (fun i ->
+        let sp = spec ~traffic:0.1 (Printf.sprintf "c%d" i) [ 7; 8; 9 ] in
+        let c = S.request_chain sys sp in
+        E.run (S.engine sys);
+        c)
   in
-  let update sys chain =
-    match routes_for sys ~chain 1 with
-    | Some routes -> S.update_routes sys ~chain routes
-    | None -> assert false
-  in
-  (* Churn epoch under delta rollout: 1 of 50 chains updated. *)
-  let delta =
-    with_chains S.Delta_rollout (fun sys chains -> update sys (List.nth chains 7))
-  in
-  (* Full rule set: a full-rollout epoch re-serializing every chain. *)
-  let full =
-    with_chains S.Full_rollout (fun sys chains ->
-        List.iter
-          (fun c ->
-            update sys c;
-            E.run (S.engine sys))
-          chains)
-  in
+  let full = wan_bytes () in
+  (* Churn epoch: 1 of the 50 chains updated. *)
+  Sb_msgbus.Bus.reset_stats bus;
+  (match routes_for sys ~chain:(List.nth chains 7) 1 with
+  | Some routes -> S.update_routes sys ~chain:(List.nth chains 7) routes
+  | None -> assert false);
+  E.run (S.engine sys);
+  let delta = wan_bytes () in
   Alcotest.(check bool)
     (Printf.sprintf "2%%-churn delta bytes (%d) <= 5%% of full rule set (%d)" delta full)
     true
@@ -411,6 +453,7 @@ let () =
           Alcotest.test_case "delta: full on vnf-set change" `Quick
             test_delta_full_on_vnf_set_change;
           Alcotest.test_case "compose merges stages" `Quick test_compose_merges_stages;
+          QCheck_alcotest.to_alcotest prop_demands_match_reference;
         ] );
       ( "equivalence",
         [

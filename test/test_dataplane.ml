@@ -316,6 +316,25 @@ let test_no_rule_error () =
   | Error (Plane.No_rule _) -> ()
   | _ -> Alcotest.fail "unknown chain should have no rule"
 
+(* An empty [apply_delta] patch retracts a rule: [rule] is [None] again, a
+   second retraction is a no-op, and a packet that needs the rule fails
+   as for a never-installed one until a non-empty patch reinstalls it. *)
+let test_apply_delta_retracts () =
+  let tb = build_testbed () in
+  let patch rp_targets =
+    [ { Plane.rp_chain = chain_label; rp_egress = egress_label; rp_stage = 1; rp_rx = false;
+        rp_targets } ]
+  in
+  Alcotest.(check int) "retracted" 1 (Plane.apply_delta tb.fab ~forwarder:tb.fb (patch []));
+  Alcotest.(check int) "idempotent" 0 (Plane.apply_delta tb.fab ~forwarder:tb.fb (patch []));
+  Alcotest.(check bool) "rule gone" true
+    (Plane.rule tb.fab ~forwarder:tb.fb ~chain_label ~egress_label ~stage:1 = None);
+  (match Plane.send_forward tb.fab ~ingress:tb.ein ~chain_label ~egress_label tuple1 with
+  | Error (Plane.No_rule { stage = 1; _ }) -> ()
+  | _ -> Alcotest.fail "a retracted rule must forward nothing");
+  ignore (Plane.apply_delta tb.fab ~forwarder:tb.fb (patch [ (Plane.Vnf_instance tb.o1, 1.) ]));
+  ignore (send_ok tb tuple1)
+
 let test_rule_loop_detected () =
   let fab = Plane.create () in
   let s = Plane.add_site fab "A" in
@@ -1712,6 +1731,7 @@ let () =
           Alcotest.test_case "flow table sizes" `Quick test_flow_table_sizes;
           Alcotest.test_case "end flow clears state" `Quick test_end_flow_clears_state;
           Alcotest.test_case "no rule error" `Quick test_no_rule_error;
+          Alcotest.test_case "apply_delta retracts" `Quick test_apply_delta_retracts;
           Alcotest.test_case "rule loop detected" `Quick test_rule_loop_detected;
           Alcotest.test_case "published weight" `Quick test_published_weight;
           Alcotest.test_case "same-site chain" `Quick test_same_site_chain;

@@ -107,6 +107,18 @@ let test_negative_delay_rejected () =
   Alcotest.check_raises "negative delay" (Invalid_argument "Engine.schedule: negative delay")
     (fun () -> ignore (Engine.schedule e ~delay:(-1.) (fun () -> ())))
 
+(* NaN compares false with everything, so range checks alone would let it
+   into the event heap. *)
+let test_nan_rejected () =
+  let e = Engine.create () in
+  let nan_raises msg f = Alcotest.check_raises msg (Invalid_argument msg) f in
+  nan_raises "Engine.schedule: NaN delay" (fun () ->
+      ignore (Engine.schedule e ~delay:Float.nan ignore));
+  nan_raises "Engine.schedule_at: NaN time" (fun () ->
+      ignore (Engine.schedule_at e ~time:Float.nan ignore));
+  nan_raises "Engine.run_until: NaN horizon" (fun () -> Engine.run_until e Float.nan);
+  Alcotest.(check int) "nothing queued" 0 (Engine.pending e)
+
 let test_pending_count () =
   let e = Engine.create () in
   Alcotest.(check int) "empty" 0 (Engine.pending e);
@@ -170,6 +182,7 @@ let () =
           Alcotest.test_case "schedule_at" `Quick test_schedule_at;
           Alcotest.test_case "past rejected" `Quick test_schedule_in_past_rejected;
           Alcotest.test_case "negative delay rejected" `Quick test_negative_delay_rejected;
+          Alcotest.test_case "NaN rejected" `Quick test_nan_rejected;
           Alcotest.test_case "pending count" `Quick test_pending_count;
           Alcotest.test_case "stress 20k events" `Slow test_many_events_stress;
           Alcotest.test_case "zero delay" `Quick test_zero_delay;
