@@ -4,76 +4,74 @@ module System = Sb_ctrl.System
 module Types = Sb_ctrl.Types
 
 module Exporter = struct
-  (* Per-chain scratch: the current and previous window counters, reused
-     every epoch so a measurement sweep allocates only the published
-     report. *)
-  type buf = {
-    cur_p : int array;
-    cur_b : int array;
-    prev_p : int array;
-    prev_b : int array;
-  }
+  (* Per chain, the cumulative counters at the previous export: the
+     baseline the next window's deltas are taken against. *)
+  type baseline = { base_p : int array; base_b : int array }
 
   type t = {
     system : System.t;
     site : int;
+    topic : string;
     period : float;
     down_links : unit -> int list;
-    prev : (int, buf) Hashtbl.t;
+    prev : (int, baseline) Hashtbl.t;
     mutable epoch : int;
     mutable running : bool;
     mutable exported : int;
   }
 
+  let baseline t chain num_stages =
+    match Hashtbl.find_opt t.prev chain with
+    | Some b when Array.length b.base_p = num_stages -> b
+    | _ ->
+      let b = { base_p = Array.make num_stages 0; base_b = Array.make num_stages 0 } in
+      Hashtbl.replace t.prev chain b;
+      b
+
+  (* The chain's window entry: the site's counters are read straight into
+     the arrays the batch publishes, then turned into deltas against the
+     baseline, which takes the new counts. *)
+  let measure t (chain, _egress, num_stages) =
+    let ct_pkts = Array.make num_stages 0 and ct_bytes = Array.make num_stages 0 in
+    if
+      System.site_chain_measurements_into t.system ~site:t.site ~chain ~pkts:ct_pkts
+        ~bytes:ct_bytes
+      < 0
+    then None
+    else begin
+      let b = baseline t chain num_stages in
+      let delta cur base =
+        Array.iteri
+          (fun i c ->
+            cur.(i) <- c - base.(i);
+            base.(i) <- c)
+          cur
+      in
+      delta ct_pkts b.base_p;
+      delta ct_bytes b.base_b;
+      Some { Types.ct_chain = chain; ct_pkts; ct_bytes }
+    end
+
   let rec tick t =
     if t.running then begin
-      let down = t.down_links () in
-      let table = System.site_flow_table_stats t.system ~site:t.site in
-      List.iter
-        (fun (chain, _egress, num_stages) ->
-          let b =
-            match Hashtbl.find_opt t.prev chain with
-            | Some b when Array.length b.cur_p = num_stages -> b
-            | _ ->
-              let b =
-                {
-                  cur_p = Array.make num_stages 0;
-                  cur_b = Array.make num_stages 0;
-                  prev_p = Array.make num_stages 0;
-                  prev_b = Array.make num_stages 0;
-                }
-              in
-              Hashtbl.replace t.prev chain b;
-              b
-          in
-          let n =
-            System.site_chain_measurements_into t.system ~site:t.site ~chain
-              ~pkts:b.cur_p ~bytes:b.cur_b
-          in
-          if n >= 0 then begin
-            let delta =
-              Array.init n (fun i ->
-                  (b.cur_p.(i) - b.prev_p.(i), b.cur_b.(i) - b.prev_b.(i)))
-            in
-            Array.blit b.cur_p 0 b.prev_p 0 n;
-            Array.blit b.cur_b 0 b.prev_b 0 n;
-            (* Export even an all-zero window: to the aggregator silence is
-               indistinguishable from loss, so a zero report is
-               information (the chain really carried nothing). *)
-            Bus.publish (System.bus t.system) ~site:t.site
-              ~topic:(Types.telemetry_topic ~chain)
-              (Types.Telemetry_report
-                 {
-                   site = t.site;
-                   epoch = t.epoch;
-                   chain;
-                   stages = delta;
-                   down_links = down;
-                   table;
-                 });
-            t.exported <- t.exported + 1
-          end)
-        (System.site_known_chains t.system ~site:t.site);
+      let chains =
+        Array.of_list
+          (List.filter_map (measure t) (System.site_known_chains t.system ~site:t.site))
+      in
+      (* A site that knows no chain has nothing to report; otherwise every
+         known chain is an entry, zero windows included. *)
+      if Array.length chains > 0 then begin
+        Bus.publish (System.bus t.system) ~site:t.site ~topic:t.topic
+          (Types.Site_telemetry
+             {
+               site = t.site;
+               epoch = t.epoch;
+               down_links = t.down_links ();
+               table = System.site_flow_table_stats t.system ~site:t.site;
+               chains;
+             });
+        t.exported <- t.exported + Array.length chains
+      end;
       t.epoch <- t.epoch + 1;
       ignore (Engine.schedule (System.engine t.system) ~delay:t.period (fun () -> tick t))
     end
@@ -83,6 +81,7 @@ module Exporter = struct
       {
         system;
         site;
+        topic = Types.site_telemetry_topic ~site;
         period;
         down_links;
         prev = Hashtbl.create 16;
@@ -191,7 +190,7 @@ end
 module Aggregator = struct
   type sample = {
     s_epoch : int;
-    s_stages : (int * int) array;
+    s_counts : Types.chain_telemetry;
     s_down : int list;
     s_table : int * int * int;
   }
@@ -205,27 +204,27 @@ module Aggregator = struct
     mutable last_epoch : int;
   }
 
-  let handle t = function
-    | Types.Telemetry_report { site; epoch; chain; stages; down_links; table } -> (
-      match Hashtbl.find_opt t.cells chain with
-      | None -> () (* a chain this aggregator was not asked to watch *)
-      | Some row ->
-        if site >= 0 && site < t.num_sites then begin
-          t.reports <- t.reports + 1;
-          if epoch > t.last_epoch then t.last_epoch <- epoch;
-          let newer =
-            match row.(site) with None -> true | Some s -> epoch >= s.s_epoch
-          in
-          if newer then
-            row.(site) <-
-              Some
-                {
-                  s_epoch = epoch;
-                  s_stages = stages;
-                  s_down = down_links;
-                  s_table = table;
-                }
-        end)
+  (* A batch is exactly its entries applied one after another: each
+     watched chain's entry becomes that (chain, site) cell's sample unless
+     the cell already holds a newer one, and carries the batch's
+     site-level fields along. *)
+  let ingest t = function
+    | Types.Site_telemetry { site; epoch; down_links; table; chains } ->
+      if site >= 0 && site < t.num_sites then
+        Array.iter
+          (fun (e : Types.chain_telemetry) ->
+            match Hashtbl.find_opt t.cells e.ct_chain with
+            | None -> () (* a chain this aggregator was not asked to watch *)
+            | Some row ->
+              t.reports <- t.reports + 1;
+              if epoch > t.last_epoch then t.last_epoch <- epoch;
+              let newer =
+                match row.(site) with None -> true | Some s -> epoch >= s.s_epoch
+              in
+              if newer then
+                row.(site) <-
+                  Some { s_epoch = epoch; s_counts = e; s_down = down_links; s_table = table })
+          chains
     | _ -> ()
 
   let create ~system ~site ~chains ~num_sites ?(staleness = 3) () =
@@ -239,12 +238,11 @@ module Aggregator = struct
         last_epoch = -1;
       }
     in
-    List.iter
-      (fun chain ->
-        Hashtbl.replace t.cells chain (Array.make num_sites None);
-        Bus.subscribe (System.bus system) ~site
-          ~topic:(Types.telemetry_topic ~chain) (handle t))
-      chains;
+    List.iter (fun chain -> Hashtbl.replace t.cells chain (Array.make num_sites None)) chains;
+    for s = 0 to num_sites - 1 do
+      Bus.subscribe (System.bus system) ~site ~topic:(Types.site_telemetry_topic ~site:s)
+        (ingest t)
+    done;
     t
 
   let fresh t ~epoch s = s.s_epoch > epoch - t.staleness && s.s_epoch <= epoch
@@ -263,26 +261,25 @@ module Aggregator = struct
   let chain_packets t ~epoch ~chain =
     fold_fresh t ~epoch ~chain
       (fun acc s ->
-        let p = if Array.length s.s_stages > 0 then fst s.s_stages.(0) else 0 in
+        let pk = s.s_counts.Types.ct_pkts in
+        let p = if Array.length pk > 0 then pk.(0) else 0 in
         match acc with None -> Some p | Some a -> Some (a + p))
       None
 
   let chain_stages t ~epoch ~chain =
     let width =
-      fold_fresh t ~epoch ~chain (fun w s -> max w (Array.length s.s_stages)) 0
+      fold_fresh t ~epoch ~chain
+        (fun w s -> max w (Array.length s.s_counts.Types.ct_pkts))
+        0
     in
-    let out = Array.make width (0, 0) in
-    ignore
-      (fold_fresh t ~epoch ~chain
-         (fun () s ->
-           Array.iteri
-             (fun i (p, b) ->
-               let op, ob = out.(i) in
-               out.(i) <- (op + p, ob + b))
-             s.s_stages)
-         ());
-    out
-
+    let pk = Array.make width 0 and by = Array.make width 0 in
+    let add sum = Array.iteri (fun i v -> sum.(i) <- sum.(i) + v) in
+    fold_fresh t ~epoch ~chain
+      (fun () s ->
+        add pk s.s_counts.Types.ct_pkts;
+        add by s.s_counts.Types.ct_bytes)
+      ();
+    Array.init width (fun i -> (pk.(i), by.(i)))
   (* Every chain's report from a site carries the same site-level table
      snapshot, so pick one fresh sample per site (the freshest wins) and
      sum entries/capacity across sites; probe lengths max. *)

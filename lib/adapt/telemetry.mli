@@ -3,17 +3,18 @@
 
     Exporters snapshot the data-plane fabric's per-stage packet/byte
     counters at their site each epoch, compute the window delta against
-    their previous snapshot, and publish one {!Sb_ctrl.Types.Telemetry_report}
-    per chain on that chain's telemetry topic. Deltas over cumulative
-    counters mean no global counter reset is needed and a lost report
-    costs one window, not the baseline.
+    their previous snapshot, and publish one {!Sb_ctrl.Types.msg.Site_telemetry}
+    batch on the site's telemetry topic: the site's down links and table
+    snapshot once, then one entry per chain the site knows. Deltas over
+    cumulative counters mean no global counter reset is needed and a lost
+    batch costs the site one window, not the baseline.
 
-    The aggregator subscribes (at the Global Switchboard's site) to the
-    telemetry topics of the chains it watches and reassembles a measured
-    per-chain traffic matrix plus a link-failure view. It keeps only the
-    freshest sample per (chain, site); queries at epoch [e] consider a
-    sample fresh while [e - sample_epoch < staleness], so late or dropped
-    reports are papered over by the previous window until they age out. *)
+    The aggregator subscribes (at the Global Switchboard's site) to every
+    site's telemetry topic and reassembles a measured per-chain traffic
+    matrix plus a link-failure view. It keeps only the freshest sample per
+    (chain, site); queries at epoch [e] consider a sample fresh while
+    [e - sample_epoch < staleness], so late or dropped batches are papered
+    over by the previous window until they age out. *)
 
 module Exporter : sig
   type t
@@ -29,13 +30,14 @@ module Exporter : sig
       export fires [period] after the call and every [period] thereafter,
       numbering epochs from 0. [down_links] is the site's local view of
       failed topology links (e.g. incident link-liveness detection),
-      included verbatim in every report. *)
+      included verbatim in every batch. A site that knows no chain yet
+      publishes nothing. *)
 
   val stop : t -> unit
   (** Stop exporting; the next pending tick becomes a no-op. *)
 
   val exported : t -> int
-  (** Total reports published so far. *)
+  (** Total chain entries published so far, over all batches. *)
 end
 
 module Control : sig
@@ -92,9 +94,16 @@ module Aggregator : sig
     ?staleness:int ->
     unit ->
     t
-  (** Subscribe at [site] to the telemetry topic of every chain in
-      [chains] (system chain ids). [staleness] (default 3) is the number
-      of epochs a (chain, site) sample stays usable. *)
+  (** Subscribe at [site] to the telemetry topic of each of the
+      [num_sites] sites, watching the chains in [chains] (system chain
+      ids); entries for other chains are ignored. [staleness] (default 3)
+      is the number of epochs a (chain, site) sample stays usable. *)
+
+  val ingest : t -> Sb_ctrl.Types.msg -> unit
+  (** Apply one delivered message — the subscription callback. A
+      {!Sb_ctrl.Types.msg.Site_telemetry} batch is applied entry by entry:
+      each watched chain's entry replaces that (chain, site) sample
+      unless the sample is newer. Other messages are ignored. *)
 
   val chain_packets : t -> epoch:int -> chain:int -> int option
   (** Measured stage-0 packets for the chain summed over sites with a
@@ -116,8 +125,10 @@ module Aggregator : sig
       occupancy, e.g. for charting throughput against table load factor. *)
 
   val reports : t -> int
-  (** Total telemetry reports received (including superseded ones). *)
+  (** Total watched chain entries received over all batches (including
+      superseded ones). *)
 
   val last_epoch : t -> int
-  (** Highest epoch seen in any report; [-1] before the first. *)
+  (** Highest epoch of any batch with a watched entry; [-1] before the
+      first. *)
 end

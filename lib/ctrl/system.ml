@@ -1198,7 +1198,7 @@ let site_known_chains t ~site =
     (fun id (lc : local_chain) acc ->
       (id, lc.lc_egress, List.length lc.lc_spec.vnfs + 1) :: acc)
     t.locals.(site).ls_known []
-  |> List.sort compare
+  |> List.sort (fun (a, _, _) (b, _, _) -> Int.compare a b)
 
 let site_chain_measurements_into t ~site ~chain ~pkts ~bytes =
   match Hashtbl.find_opt t.locals.(site).ls_known chain with

@@ -29,6 +29,8 @@ type chain_delta = {
   cd_demand : (int * (int * float) list) list;
 }
 
+type chain_telemetry = { ct_chain : int; ct_pkts : int array; ct_bytes : int array }
+
 type msg =
   | Chain_request of { chain : int; spec : chain_spec }
   | Prepare of {
@@ -57,13 +59,12 @@ type msg =
   | Instance_info of { vnf : int; site : int; instances : (int * float) list }
   | Forwarder_info of { vnf : int; site : int; forwarders : (int * float) list }
   | Edge_info of { site : int; edge : int; forwarder : int }
-  | Telemetry_report of {
+  | Site_telemetry of {
       site : int;
       epoch : int;
-      chain : int;
-      stages : (int * int) array;
       down_links : int list;
       table : int * int * int;
+      chains : chain_telemetry array;
     }
   | Load_advert of {
       site : int;
@@ -84,7 +85,7 @@ let instances_topic ~chain ~egress ~vnf ~site =
 let forwarders_topic ~chain ~egress ~vnf ~site =
   Printf.sprintf "/c%d/e%d/vnf_%d/site_%d_forwarders" chain egress vnf site
 
-let telemetry_topic ~chain = Printf.sprintf "/telemetry/c%d" chain
+let site_telemetry_topic ~site = Printf.sprintf "/telemetry/s%d" site
 let advert_topic ~site = Printf.sprintf "/advert/s%d" site
 
 let pp_msg ppf = function
@@ -115,10 +116,9 @@ let pp_msg ppf = function
     Format.fprintf ppf "Forwarder_info(vnf%d site%d %d fwds)" vnf site (List.length forwarders)
   | Edge_info { site; edge; forwarder } ->
     Format.fprintf ppf "Edge_info(site%d edge%d fwd%d)" site edge forwarder
-  | Telemetry_report { site; epoch; chain; stages; down_links; table = tc, tk, _ } ->
-    Format.fprintf ppf
-      "Telemetry_report(site%d epoch%d chain%d %d stages, %d down, %d/%d flows)"
-      site epoch chain (Array.length stages) (List.length down_links) tc tk
+  | Site_telemetry { site; epoch; down_links; table = tc, tk, _; chains } ->
+    Format.fprintf ppf "Site_telemetry(site%d epoch%d %d chains, %d down, %d/%d flows)"
+      site epoch (Array.length chains) (List.length down_links) tc tk
   | Load_advert { site; epoch; loads; fwd_weights; down_links } ->
     Format.fprintf ppf "Load_advert(site%d epoch%d %d vnfs, %d fwd sets, %d down)"
       site epoch (List.length loads) (List.length fwd_weights)
@@ -131,7 +131,14 @@ let pp_msg ppf = function
    8 B floats, strings verbatim). The absolute numbers are nominal; what
    matters is that sizes scale with payload cardinality, so rollout
    bytes-on-wire comparisons (full route sets vs. compiled deltas)
-   measure real payload churn. *)
+   measure real payload churn.
+
+   Telemetry is the one varint field: a window's per-stage packet and
+   byte deltas are small and mostly zero, so a Site_telemetry batch
+   prices each as a zigzag varint (7 payload bits per byte, so 0..63
+   cost 1 B), and each chain entry as a 4 B chain id plus a varint
+   stage count. The site-level fields (site, epoch, table snapshot,
+   down links) are flat and paid once per batch. *)
 
 let header_bytes = 24
 let spec_size s = String.length s.spec_name + String.length s.ingress_attachment
@@ -139,6 +146,17 @@ let spec_size s = String.length s.spec_name + String.length s.ingress_attachment
 let route_size r = (4 * Array.length r.element_sites) + 8
 let routes_size rs = List.fold_left (fun a r -> a + route_size r) 4 rs
 let pair_list_size l = (12 * List.length l) + 4
+
+(* Bytes of the zigzag LEB128 encoding of [v]: the sign moves to bit 0,
+   then 7 bits per byte. *)
+let varint_size v =
+  let rec go z n = if z land lnot 0x7f = 0 then n else go (z lsr 7) (n + 1) in
+  go ((v lsl 1) lxor (v asr 62)) 1
+
+let counts_size a = Array.fold_left (fun n v -> n + varint_size v) 0 a
+
+let chain_telemetry_size e =
+  4 + varint_size (Array.length e.ct_pkts) + counts_size e.ct_pkts + counts_size e.ct_bytes
 
 (* A delta Prepare once also carried an empty route list (4 B count) and
    an option tag (1 B). Both are gone from the message but not from its
@@ -168,8 +186,10 @@ let msg_size = function
   | Instance_info { instances; _ } -> header_bytes + 8 + pair_list_size instances
   | Forwarder_info { forwarders; _ } -> header_bytes + 8 + pair_list_size forwarders
   | Edge_info _ -> header_bytes + 12
-  | Telemetry_report { stages; down_links; _ } ->
-    header_bytes + 24 + (16 * Array.length stages) + (4 * List.length down_links)
+  | Site_telemetry { down_links; chains; _ } ->
+    (* site, epoch, table (3 ints), down-link count, entry count *)
+    header_bytes + 28 + (4 * List.length down_links)
+    + Array.fold_left (fun a e -> a + chain_telemetry_size e) 0 chains
   | Load_advert { loads; fwd_weights; down_links; _ } ->
     header_bytes + 8 + pair_list_size loads
     + List.fold_left (fun a (_, ws) -> a + 4 + pair_list_size ws) 4 fwd_weights

@@ -66,6 +66,15 @@ type chain_delta = {
           their currently committed allocation *)
 }
 
+(** One chain's entry in a {!msg.Site_telemetry} batch: the per-stage
+    counts this site measured during the epoch's window (deltas, not
+    cumulative counts). *)
+type chain_telemetry = {
+  ct_chain : int;
+  ct_pkts : int array;  (** packets, indexed by stage *)
+  ct_bytes : int array;  (** bytes, indexed by stage; same length *)
+}
+
 type msg =
   | Chain_request of { chain : int; spec : chain_spec }
   | Prepare of {
@@ -107,13 +116,9 @@ type msg =
       (** fabric VNF-instance ids and load-balancing weights *)
   | Forwarder_info of { vnf : int; site : int; forwarders : (int * float) list }
   | Edge_info of { site : int; edge : int; forwarder : int }
-  | Telemetry_report of {
+  | Site_telemetry of {
       site : int;
       epoch : int;
-      chain : int;
-      stages : (int * int) array;
-          (** per-stage [(packets, bytes)] measured at this site during the
-              epoch's window (a delta, not a cumulative count) *)
       down_links : int list;
           (** topology link ids this site's forwarders observe down *)
       table : int * int * int;
@@ -121,10 +126,16 @@ type msg =
               tables, summed over its forwarders and the shard's lanes —
               flow-table occupancy for capacity planning and the
               cache-cliff analysis (load factor is [count /. capacity]) *)
+      chains : chain_telemetry array;
+          (** one entry per chain the site's Local Switchboard knows,
+              ascending by chain id; an all-zero window is still an
+              entry, because to the aggregator silence means loss *)
     }
-      (** One site's per-chain measurement export for one epoch — the
-          feedback the telemetry aggregator ([sb_adapt]) assembles into a
-          measured traffic matrix (Section 4.1). *)
+      (** One site's measurement export for one epoch, on
+          {!site_telemetry_topic} — the feedback the telemetry aggregator
+          ([sb_adapt]) assembles into a measured traffic matrix
+          (Section 4.1). The site-level fields travel once per batch,
+          not once per chain. *)
   | Load_advert of {
       site : int;
       epoch : int;
@@ -154,10 +165,10 @@ val instances_topic : chain:int -> egress:int -> vnf:int -> site:int -> string
 
 val forwarders_topic : chain:int -> egress:int -> vnf:int -> site:int -> string
 
-val telemetry_topic : chain:int -> string
-(** ["/telemetry/c<chain>"] — per-chain telemetry reports; in Switchboard
-    bus mode only sites subscribed to a chain's reports (the Global
-    Switchboard) receive them. *)
+val site_telemetry_topic : site:int -> string
+(** ["/telemetry/s<site>"] — the site's {!msg.Site_telemetry} batches; in
+    Switchboard bus mode only sites subscribed to it (the Global
+    Switchboard) receive them, one wide-area copy per batch. *)
 
 val advert_topic : site:int -> string
 (** ["/advert/s<site>"] — the site's retained {!msg.Load_advert} flood
@@ -172,7 +183,10 @@ val msg_size : msg -> int
     4 B ints, 8 B floats, strings verbatim). The {!Sb_msgbus.Bus} size
     hook — rollout bytes-on-wire measurements compare these across full
     route sets and compiled deltas, so only relative payload scaling
-    matters. A [Prepare] is priced with 5 B more than its fields (the
+    matters. Telemetry counts are the exception: a {!msg.Site_telemetry}
+    prices each stage delta as a zigzag varint (1 B below 64, one more
+    byte per further 7 bits), because a window's counts are small and
+    mostly zero. A [Prepare] is priced with 5 B more than its fields (the
     empty route list and option tag it once carried), so bus latencies
     stay as calibrated. *)
 

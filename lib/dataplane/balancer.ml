@@ -18,7 +18,7 @@ let cumulative weights =
     acc := !acc +. weights.(i);
     cum.(i) <- !acc
   done;
-  (cum, !acc, !has_neg)
+  (cum, !has_neg)
 
 let normalize rule =
   let rule = List.filter (fun (_, w) -> w > 0.) rule in

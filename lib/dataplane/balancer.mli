@@ -14,14 +14,14 @@ val pick : Sb_util.Rng.t -> 'hop rule -> 'hop
 (** Weighted random choice. Raises [Invalid_argument] on an empty rule or
     non-positive total weight. *)
 
-val cumulative : float array -> float array * float * bool
-(** [cumulative ws] is [(cum, total, has_negative)]: the left-to-right
+val cumulative : float array -> float array * bool
+(** [cumulative ws] is [(cum, has_negative)]: the left-to-right
     cumulative sums of [ws] (same float-addition order as {!pick}'s
     accumulation, so a binary-search draw over [cum] — see
     {!Sb_util.Rng.weighted_index_cum} — lands on exactly the index {!pick}
-    would choose), their total, and whether any weight is negative. The
-    compiled dataplane calls this once per rule install instead of once per
-    packet. *)
+    would choose; the last sum is the total) and whether any weight is
+    negative. The compiled dataplane calls this once per rule install
+    instead of once per packet. *)
 
 val normalize : 'hop rule -> 'hop rule
 (** Scale weights to sum to 1; drops non-positive entries. *)

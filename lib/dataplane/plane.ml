@@ -405,7 +405,6 @@ type arena = {
   mutable used : int;
   mutable s_off : int array;
   mutable s_len : int array;
-  mutable s_total : float array;
   mutable s_neg : bool array;
   mutable s_live : bool array;
   mutable nslots : int;
@@ -421,7 +420,6 @@ let arena_create () =
     used = 0;
     s_off = Array.make 16 0;
     s_len = Array.make 16 0;
-    s_total = Array.make 16 0.;
     s_neg = Array.make 16 false;
     s_live = Array.make 16 false;
     nslots = 0;
@@ -492,18 +490,16 @@ let arena_append a targets weights =
     let cap = a.nslots * 2 in
     a.s_off <- grow_int a.s_off cap 0;
     a.s_len <- grow_int a.s_len cap 0;
-    a.s_total <- grow_float a.s_total cap 0.;
     a.s_neg <- grow_bool a.s_neg cap false;
     a.s_live <- grow_bool a.s_live cap false
   end;
-  let cum, total, has_neg = Balancer.cumulative weights in
+  let cum, has_neg = Balancer.cumulative weights in
   Array.blit targets 0 a.tgt a.used len;
   Array.blit weights 0 a.w a.used len;
   Array.blit cum 0 a.cum a.used (min len (Array.length cum));
   let slot = a.nslots in
   a.s_off.(slot) <- a.used;
   a.s_len.(slot) <- len;
-  a.s_total.(slot) <- total;
   a.s_neg.(slot) <- has_neg;
   a.s_live.(slot) <- true;
   a.nslots <- slot + 1;
@@ -602,6 +598,7 @@ type t = {
   (* per raw id *)
   mutable kind : int array;
   mutable site_name : string array;
+  mutable site_fds : int list array; (* per site id: its dense forwarders, ascending *)
   mutable e_site : int array;
   mutable e_fwd : int array;
   mutable i_vnf : int array;
@@ -638,6 +635,7 @@ let create ?(seed = 0xF0) ?(flow_store = Local) () =
     next_id = 0;
     kind = Array.make 16 0;
     site_name = Array.make 16 "";
+    site_fds = Array.make 16 [];
     e_site = Array.make 16 (-1);
     e_fwd = Array.make 16 (-1);
     i_vnf = Array.make 16 (-1);
@@ -681,6 +679,10 @@ let ensure_id t id =
     t.site_name <-
       (let b = Array.make n "" in
        Array.blit t.site_name 0 b 0 cap;
+       b);
+    t.site_fds <-
+      (let b = Array.make n [] in
+       Array.blit t.site_fds 0 b 0 cap;
        b);
     t.e_site <- grow_int t.e_site n (-1);
     t.e_fwd <- grow_int t.e_fwd n (-1);
@@ -744,6 +746,7 @@ let add_forwarder t ~site =
   t.f_dense.(id) <- fd;
   t.fwd_id.(fd) <- id;
   t.f_site.(fd) <- site;
+  t.site_fds.(site) <- t.site_fds.(site) @ [ fd ];
   t.f_alive.(fd) <- true;
   t.f_insts.(fd) <- [];
   t.f_tab.(fd) <- ftab_create ();
@@ -1032,17 +1035,21 @@ let stage_counters t ~chain_label ~egress_label ~stage =
     (!p, !b)
   end
 
+let fds_of_site t site =
+  if site >= 0 && site < Array.length t.site_fds then t.site_fds.(site) else []
+
 let site_stage_counters t ~site ~chain_label ~egress_label ~stage =
   let ces = ces_find t.ces chain_label egress_label stage in
   if ces < 0 then (0, 0)
   else begin
     let p = ref 0 and b = ref 0 in
-    for fd = 0 to t.nf - 1 do
-      if t.f_site.(fd) = site && ces < Array.length t.c_pkts.(fd) then begin
-        p := !p + t.c_pkts.(fd).(ces);
-        b := !b + t.c_bytes.(fd).(ces)
-      end
-    done;
+    List.iter
+      (fun fd ->
+        if ces < Array.length t.c_pkts.(fd) then begin
+          p := !p + t.c_pkts.(fd).(ces);
+          b := !b + t.c_bytes.(fd).(ces)
+        end)
+      (fds_of_site t site);
     (!p, !b)
   end
 
@@ -1050,15 +1057,17 @@ let site_stage_counters_into t ~site ~chain_label ~egress_label ~pkts ~bytes =
   let stages = Array.length pkts in
   Array.fill pkts 0 stages 0;
   Array.fill bytes 0 stages 0;
+  let fds = fds_of_site t site in
   for stage = 0 to stages - 1 do
     let ces = ces_find t.ces chain_label egress_label stage in
     if ces >= 0 then
-      for fd = 0 to t.nf - 1 do
-        if t.f_site.(fd) = site && ces < Array.length t.c_pkts.(fd) then begin
-          pkts.(stage) <- pkts.(stage) + t.c_pkts.(fd).(ces);
-          bytes.(stage) <- bytes.(stage) + t.c_bytes.(fd).(ces)
-        end
-      done
+      List.iter
+        (fun fd ->
+          if ces < Array.length t.c_pkts.(fd) then begin
+            pkts.(stage) <- pkts.(stage) + t.c_pkts.(fd).(ces);
+            bytes.(stage) <- bytes.(stage) + t.c_bytes.(fd).(ces)
+          end)
+        fds
   done
 
 let reset_counters t =
@@ -1158,7 +1167,6 @@ let forward_core t ~record ~ingress ~chain_label ~egress_label ~size flow =
               let off = t.arena.s_off.(slot) and len = t.arena.s_len.(slot) in
               let idx =
                 Sb_util.Rng.weighted_index_cum t.rng t.arena.cum ~off ~len
-                  ~total:t.arena.s_total.(slot)
               in
               let chosen = t.arena.tgt.(off + idx) in
               (match t.dht with

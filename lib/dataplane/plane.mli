@@ -340,8 +340,8 @@ val site_stage_counters_into :
   bytes:int array ->
   unit
 (** Fill [pkts]/[bytes] (indexed by stage, as many stages as the arrays
-    hold) with one site's counters for one chain in a single pass over the
-    forwarders — the allocation-free bulk form of
+    hold) with one site's counters for one chain, visiting only that
+    site's own forwarders — the allocation-free bulk form of
     {!site_stage_counters} that the telemetry exporter reuses its scratch
     buffers with. *)
 

@@ -1,26 +1,44 @@
-type t = { mutable state : int64 }
+(* The SplitMix64 state lives unboxed in 8 bytes, read and written
+   through the 64-bit bytes primitives: a [mutable int64] field would box
+   a fresh int64 on every draw. *)
+type t = Bytes.t
+
+external get_state : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set_state : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
 
 let golden_gamma = 0x9E3779B97F4A7C15L
 
-let create seed = { state = Int64.of_int seed }
+let of_state s =
+  let t = Bytes.create 8 in
+  set_state t 0 s;
+  t
 
-let copy t = { state = t.state }
+let create seed = of_state (Int64.of_int seed)
+
+let copy = Bytes.copy
 
 (* SplitMix64 finalizer: Stafford's mix13 variant. *)
-let mix64 z =
+let[@inline] mix64 z =
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xBF58476D1CE4E5B9L in
   let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94D049BB133111EBL in
   Int64.logxor z (Int64.shift_right_logical z 31)
 
-let bits64 t =
-  t.state <- Int64.add t.state golden_gamma;
-  mix64 t.state
+(* Inlined into every draw below, so the state and the output stay
+   unboxed from load to use. *)
+let[@inline] next t =
+  let s = Int64.add (get_state t 0) golden_gamma in
+  set_state t 0 s;
+  mix64 s
+
+let bits64 t = next t
+
+(* 53 random bits scaled to [0, 1). *)
+let[@inline] unit_float t =
+  Int64.to_float (Int64.shift_right_logical (next t) 11) /. 9007199254740992.0
 
 let split ?stream t =
   match stream with
-  | None ->
-    let seed = bits64 t in
-    { state = seed }
+  | None -> of_state (next t)
   | Some i ->
     if i < 0 then invalid_arg "Rng.split: stream must be non-negative";
     (* Stream i's state is the mix of the parent state displaced by
@@ -29,20 +47,17 @@ let split ?stream t =
        point (minus the parent advance). The double mixing on the child's
        first draw (mix64 of a mix64 image plus gamma) keeps child outputs
        off the parent's own output sequence. *)
-    { state = mix64 (Int64.add t.state (Int64.mul (Int64.of_int (i + 1)) golden_gamma)) }
+    of_state (mix64 (Int64.add (get_state t 0) (Int64.mul (Int64.of_int (i + 1)) golden_gamma)))
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound must be positive";
   (* Mask to OCaml's native non-negative int range before reducing. *)
-  let r = Int64.to_int (bits64 t) land max_int in
+  let r = Int64.to_int (next t) land max_int in
   r mod bound
 
-let float t bound =
-  (* 53 random bits scaled to [0, 1). *)
-  let r = Int64.to_float (Int64.shift_right_logical (bits64 t) 11) in
-  r /. 9007199254740992.0 *. bound
+let float t bound = unit_float t *. bound
 
-let bool t = Int64.compare (Int64.logand (bits64 t) 1L) 0L <> 0
+let bool t = Int64.compare (Int64.logand (next t) 1L) 0L <> 0
 
 let exponential t rate =
   if rate <= 0. then invalid_arg "Rng.exponential: rate must be positive";
@@ -69,16 +84,19 @@ let sample_without_replacement t k n =
   shuffle t a;
   Array.to_list (Array.sub a 0 k)
 
-let weighted_index_cum t cum ~off ~len ~total =
+let weighted_index_cum t cum ~off ~len =
   (* Must stay draw-for-draw and result-for-result identical to
      [weighted_index] over the raw weights: same exception (checked before
      the state advances), one [float t total] draw, and the same chosen
      index. [weighted_index] returns the first i with target < w_0+...+w_i
      accumulated left to right, or n-1 unconditionally; as the cumulative
      sums are non-decreasing, the binary search for the smallest such i
-     (capped at len-1) lands on the very same index. *)
+     (capped at len-1) lands on the very same index. The total is read
+     from [cum] and the draw inlined, so no float crosses a call and the
+     draw allocates nothing. *)
+  let total = if len > 0 then cum.(off + len - 1) else 0. in
   if total <= 0. then invalid_arg "Rng.weighted_index: zero total weight";
-  let target = float t total in
+  let target = unit_float t *. total in
   let lo = ref 0 and hi = ref (len - 1) in
   while !lo < !hi do
     let mid = (!lo + !hi) lsr 1 in

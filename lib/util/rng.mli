@@ -59,11 +59,12 @@ val weighted_index : t -> float array -> int
     proportional to its (non-negative) weight. Raises [Invalid_argument]
     if all weights are zero or any is negative. *)
 
-val weighted_index_cum : t -> float array -> off:int -> len:int -> total:float -> int
-(** [weighted_index_cum t cum ~off ~len ~total] is {!weighted_index} over
+val weighted_index_cum : t -> float array -> off:int -> len:int -> int
+(** [weighted_index_cum t cum ~off ~len] is {!weighted_index} over
     weights whose left-to-right cumulative sums were precomputed into
-    [cum.(off) .. cum.(off + len - 1)] with [total = cum.(off + len - 1)]:
-    one O(log len) draw, bit-identical in both RNG-state advance and chosen
-    index (callers must reject negative weights beforehand, as
-    [weighted_index] does during its accumulation). Raises
-    [Invalid_argument] on a non-positive [total]. *)
+    [cum.(off) .. cum.(off + len - 1)], so the total weight is
+    [cum.(off + len - 1)]: one O(log len) draw, bit-identical in both
+    RNG-state advance and chosen index (callers must reject negative
+    weights beforehand, as [weighted_index] does during its
+    accumulation), and allocation-free. Raises [Invalid_argument] on
+    [len = 0] or a non-positive total. *)

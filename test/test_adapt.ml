@@ -208,6 +208,138 @@ let test_telemetry_roundtrip_and_staleness () =
   Alcotest.(check (option int)) "aged out after staleness window" None
     (Telemetry.Aggregator.chain_packets agg ~epoch:4 ~chain)
 
+(* --------------------- Site_telemetry batch semantics ------------------- *)
+
+(* The aggregator only needs a system for its bus subscriptions; the
+   batches below are handed to [ingest] directly. *)
+let agg_system =
+  lazy (System.create ~seed:5 ~num_sites:4 ~delay:(fun _ _ -> 0.01) ~gsb_site:0 ())
+
+let watched = [ 0; 1; 2; 3; 4 ]
+
+let batch_gen =
+  let open QCheck.Gen in
+  let counts =
+    int_range 0 3 >>= fun n ->
+    pair (array_size (return n) (int_bound 300)) (array_size (return n) (int_bound 90_000))
+  in
+  (* Chain 5 is not watched: its entries must be ignored. *)
+  let entries =
+    flatten_l
+      (List.init 6 (fun chain ->
+           opt (counts >|= fun (ct_pkts, ct_bytes) -> { Ct.ct_chain = chain; ct_pkts; ct_bytes })))
+    >|= fun es -> Array.of_list (List.filter_map Fun.id es)
+  in
+  map
+    (fun ((site, epoch), (down_links, (table, chains))) ->
+      Ct.Site_telemetry { site; epoch; down_links; table; chains })
+    (pair
+       (pair (int_bound 3) (int_bound 6))
+       (pair (small_list (int_bound 9))
+          (pair (triple (int_bound 50) (int_bound 64) (int_bound 8)) entries)))
+
+let print_batch = function
+  | Ct.Site_telemetry { site; epoch; down_links; table = c, k, m; chains } ->
+    Printf.sprintf "site%d epoch%d down[%s] table(%d,%d,%d) {%s}" site epoch
+      (String.concat ";" (List.map string_of_int down_links))
+      c k m
+      (String.concat " "
+         (Array.to_list
+            (Array.map
+               (fun (e : Ct.chain_telemetry) ->
+                 Printf.sprintf "c%d:[%s|%s]" e.Ct.ct_chain
+                   (String.concat ";" (Array.to_list (Array.map string_of_int e.Ct.ct_pkts)))
+                   (String.concat ";" (Array.to_list (Array.map string_of_int e.Ct.ct_bytes))))
+               chains)))
+  | m -> Format.asprintf "%a" Ct.pp_msg m
+
+(* Everything the aggregator answers, at every epoch the batches touch. *)
+let aggregator_view agg =
+  ( Telemetry.Aggregator.reports agg,
+    Telemetry.Aggregator.last_epoch agg,
+    List.init 9 (fun epoch ->
+        ( List.map
+            (fun chain ->
+              ( Telemetry.Aggregator.chain_packets agg ~epoch ~chain,
+                Telemetry.Aggregator.chain_stages agg ~epoch ~chain ))
+            (watched @ [ 5 ]),
+          Telemetry.Aggregator.table_occupancy agg ~epoch,
+          Telemetry.Aggregator.down_links agg ~epoch )) )
+
+let batch_equals_its_entries =
+  QCheck.Test.make ~name:"a Site_telemetry batch = its entries one by one" ~count:300
+    (QCheck.make
+       ~print:(fun bs -> String.concat "\n" (List.map print_batch bs))
+       QCheck.Gen.(list_size (int_range 1 12) batch_gen))
+    (fun batches ->
+      let system = Lazy.force agg_system in
+      let create () =
+        Telemetry.Aggregator.create ~system ~site:0 ~chains:watched ~num_sites:4
+          ~staleness:2 ()
+      in
+      let whole = create () and split = create () in
+      List.iter
+        (fun b ->
+          Telemetry.Aggregator.ingest whole b;
+          match b with
+          | Ct.Site_telemetry r ->
+            Array.iter
+              (fun e ->
+                Telemetry.Aggregator.ingest split (Ct.Site_telemetry { r with chains = [| e |] }))
+              r.chains
+          | _ -> ())
+        batches;
+      aggregator_view whole = aggregator_view split)
+
+(* Site 1's batches stop after epoch 1 (lost on the wire): with staleness
+   2 all of its chains drop out at epoch 3 together, while sites 0 and 2
+   keep every chain fresh. *)
+let test_lost_batch_ages_out_one_site () =
+  let system = Lazy.force agg_system in
+  let chains = [ 0; 1; 2 ] in
+  let agg =
+    Telemetry.Aggregator.create ~system ~site:0 ~chains ~num_sites:3 ~staleness:2 ()
+  in
+  let pkts site chain = (100 * site) + chain + 1 in
+  let batch site epoch =
+    Ct.Site_telemetry
+      {
+        site;
+        epoch;
+        down_links = [ 10 + site ];
+        table = (site + 1, 64, 1);
+        chains =
+          Array.of_list
+            (List.map
+               (fun chain ->
+                 { Ct.ct_chain = chain; ct_pkts = [| pkts site chain; 0 |]; ct_bytes = [| 0; 0 |] })
+               chains);
+      }
+  in
+  for epoch = 0 to 5 do
+    List.iter
+      (fun site -> if site <> 1 || epoch <= 1 then Telemetry.Aggregator.ingest agg (batch site epoch))
+      [ 0; 1; 2 ];
+    let sites = if epoch <= 2 then [ 0; 1; 2 ] else [ 0; 2 ] in
+    List.iter
+      (fun chain ->
+        Alcotest.(check (option int))
+          (Printf.sprintf "epoch %d chain %d packets" epoch chain)
+          (Some (List.fold_left (fun a s -> a + pkts s chain) 0 sites))
+          (Telemetry.Aggregator.chain_packets agg ~epoch ~chain))
+      chains;
+    Alcotest.(check (list int))
+      (Printf.sprintf "epoch %d down links" epoch)
+      (List.map (fun s -> 10 + s) sites)
+      (Telemetry.Aggregator.down_links agg ~epoch);
+    Alcotest.(check (triple int int int))
+      (Printf.sprintf "epoch %d table" epoch)
+      (List.fold_left (fun a s -> a + s + 1) 0 sites, 64 * List.length sites, 1)
+      (Telemetry.Aggregator.table_occupancy agg ~epoch)
+  done;
+  Alcotest.(check int) "every chain entry counted" ((3 * 6 * 2) + (3 * 2))
+    (Telemetry.Aggregator.reports agg)
+
 let test_update_routes_rollout () =
   let sys, chain = make_system () in
   let eng = System.engine sys in
@@ -519,6 +651,9 @@ let () =
           Alcotest.test_case "export/aggregate round trip + staleness" `Quick
             test_telemetry_roundtrip_and_staleness;
           Alcotest.test_case "update_routes rollout" `Quick test_update_routes_rollout;
+          QCheck_alcotest.to_alcotest batch_equals_its_entries;
+          Alcotest.test_case "lost batch ages out one site" `Quick
+            test_lost_batch_ages_out_one_site;
         ] );
       ( "loop",
         [

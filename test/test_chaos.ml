@@ -550,6 +550,45 @@ let test_placement_loop_invariants_under_gsb_outage () =
   | None -> Alcotest.fail "closed loop never built a system"
   | Some iv -> check_no_violations "placement loop under GSB outage" iv
 
+(* Fault effect: an armed [Telemetry_drop] window must actually drop
+   telemetry batches, not silently match nothing (a renamed topic would
+   do that). The wan hook sees every telemetry copy the closed loop's
+   exporters put on the wire; inside a certain-loss window each one is
+   dropped, and nothing else is. *)
+let test_telemetry_drop_drops_batches () =
+  let cfg = { Scenario.smoke_config with Scenario.ticks = 6 } in
+  let sc, _ = Scenario.placement_scenario cfg in
+  let params = { Loop.default_params with Loop.seed = cfg.Scenario.seed } in
+  let num_sites = Model.num_sites sc.Loop.sc_model in
+  let start = 2.0 and stop = 4.0 in
+  let sched =
+    Schedule.of_faults ~seed:cfg.Scenario.seed ~horizon:7. ~num_sites
+      [ Schedule.Telemetry_drop { start; stop; prob = 1.0 } ]
+  in
+  let in_window = ref 0 and outside = ref 0 in
+  let system = ref None in
+  let on_system sys =
+    system := Some sys;
+    let eng = System.engine sys in
+    let t0 = Engine.now eng in
+    let observe ~msg:_ ~topic ~src:_ ~dst:_ =
+      if String.starts_with ~prefix:"/telemetry/s" topic then begin
+        let now = Engine.now eng -. t0 in
+        if now >= start && now < stop then incr in_window else incr outside
+      end
+    in
+    Inject.arm ~sys ~observe ~rng:(Sb_util.Rng.create 3) sched
+  in
+  ignore (Loop.run ~params ~on_system sc Loop.Closed_loop);
+  match !system with
+  | None -> Alcotest.fail "closed loop never built a system"
+  | Some sys ->
+    Alcotest.(check bool) "telemetry batches crossed the wan in the window" true
+      (!in_window >= 1);
+    Alcotest.(check bool) "and outside it" true (!outside >= 1);
+    Alcotest.(check int) "every batch in the window dropped, nothing else" !in_window
+      (Sb_msgbus.Bus.stats (System.bus sys)).Sb_msgbus.Bus.fault_dropped
+
 let () =
   Alcotest.run "sb_chaos"
     [
@@ -570,6 +609,8 @@ let () =
             test_sharded_fabric_no_violations;
           Alcotest.test_case "site outage reaches every lane" `Quick
             test_site_outage_reaches_every_lane;
+          Alcotest.test_case "telemetry drop drops batches" `Quick
+            test_telemetry_drop_drops_batches;
         ] );
       ("search", [ QCheck_alcotest.to_alcotest prop_no_violations ]);
       ( "outage",

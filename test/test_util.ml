@@ -149,6 +149,43 @@ let test_rng_weighted_index_rejects () =
     (Invalid_argument "Rng.weighted_index: zero total weight") (fun () ->
       ignore (Rng.weighted_index rng [| 0.; 0. |]))
 
+(* The packed dataplane's draw: the same index and the same state advance
+   as [weighted_index] over the raw weights, without allocating. *)
+let test_rng_weighted_index_cum () =
+  let gen = Rng.create 29 in
+  let a = Rng.create 31 and b = Rng.create 31 in
+  for _ = 1 to 2_000 do
+    let n = 1 + Rng.int gen 6 in
+    let weights =
+      Array.init n (fun _ -> if Rng.int gen 4 = 0 then 0. else Rng.float gen 3.)
+    in
+    weights.(Rng.int gen n) <- 0.5;
+    let cum = Array.make (n + 2) 0. in
+    let acc = ref 0. in
+    Array.iteri
+      (fun i w ->
+        acc := !acc +. w;
+        cum.(i + 1) <- !acc)
+      weights;
+    Alcotest.(check int) "same index" (Rng.weighted_index a weights)
+      (Rng.weighted_index_cum b cum ~off:1 ~len:n)
+  done;
+  Alcotest.(check int64) "same state afterwards" (Rng.bits64 a) (Rng.bits64 b);
+  Alcotest.check_raises "empty"
+    (Invalid_argument "Rng.weighted_index: zero total weight") (fun () ->
+      ignore (Rng.weighted_index_cum b [| 1. |] ~off:0 ~len:0));
+  if Sys.backend_type = Sys.Native then begin
+    let cum = [| 0.25; 0.5; 1.0 |] in
+    let sink = ref 0 in
+    let w0 = Gc.minor_words () in
+    for _ = 1 to 10_000 do
+      sink := !sink + Rng.weighted_index_cum b cum ~off:0 ~len:3
+    done;
+    let words = Gc.minor_words () -. w0 in
+    if words > 100. then Alcotest.failf "10k draws allocated %.0f minor words" words;
+    ignore (Sys.opaque_identity !sink)
+  end
+
 (* ------------------------------ Zipf ------------------------------ *)
 
 let test_zipf_probabilities_sum () =
@@ -572,6 +609,7 @@ let () =
           Alcotest.test_case "sample full range" `Quick test_rng_sample_full_range;
           Alcotest.test_case "weighted index" `Quick test_rng_weighted_index;
           Alcotest.test_case "weighted index rejects" `Quick test_rng_weighted_index_rejects;
+          Alcotest.test_case "weighted index cum" `Quick test_rng_weighted_index_cum;
         ] );
       ( "zipf",
         [
