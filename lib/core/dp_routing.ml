@@ -1,72 +1,5 @@
 let default_util_weight = 0.05
 
-(* Candidate nodes for element [z] of a chain (0 = ingress, L+1 = egress). *)
-let element_nodes inst chain ~ingress ~egress z =
-  let len = Instance.num_stages inst chain - 1 in
-  if z = 0 then [| ingress |]
-  else if z = len + 1 then [| egress |]
-  else Array.of_list (Instance.stage_dst_nodes inst ~chain ~stage:(z - 1))
-
-let best_path ?ingress ?egress state ~util_weight ~chain =
-  let inst = Load_state.instance state in
-  let m = Instance.model inst in
-  let ingress = match ingress with Some i -> i | None -> Model.chain_ingress m chain in
-  let egress = match egress with Some e -> e | None -> Model.chain_egress m chain in
-  let len = Instance.num_stages inst chain - 1 in
-  (* Per-element candidate arrays plus parallel cost/parent tables — the DP
-     scans them with plain loops instead of rebuilding List.map/fold chains
-     per element. *)
-  let nodes_of = Array.init (len + 2) (element_nodes inst chain ~ingress ~egress) in
-  let cost = Array.map (fun ns -> Array.make (Array.length ns) infinity) nodes_of in
-  let parent = Array.map (fun ns -> Array.make (Array.length ns) (-1)) nodes_of in
-  cost.(0).(0) <- 0.;
-  for z = 1 to len + 1 do
-    let prev_nodes = nodes_of.(z - 1) and prev_cost = cost.(z - 1) in
-    let cur_nodes = nodes_of.(z) in
-    for j = 0 to Array.length cur_nodes - 1 do
-      let node = cur_nodes.(j) in
-      (* The compute-utilization term depends only on (stage, dst): hoist it
-         out of the source scan. *)
-      let cc =
-        if util_weight = 0. then 0.
-        else Load_state.stage_compute_cost state ~chain ~stage:(z - 1) ~dst:node
-      in
-      let bc = ref infinity and bp = ref (-1) in
-      for i = 0 to Array.length prev_nodes - 1 do
-        let pc = prev_cost.(i) in
-        if pc < infinity then begin
-          let c =
-            pc
-            +. Load_state.stage_cost_hinted state ~util_weight ~chain
-                 ~stage:(z - 1) ~src:prev_nodes.(i) ~dst:node ~compute_cost:cc
-          in
-          if c < !bc then begin
-            bc := c;
-            bp := prev_nodes.(i)
-          end
-        end
-      done;
-      cost.(z).(j) <- !bc;
-      parent.(z).(j) <- !bp
-    done
-  done;
-  (* Walk parents back from the egress. *)
-  if Array.length nodes_of.(len + 1) = 1 && cost.(len + 1).(0) < infinity then begin
-    let nodes = Array.make (len + 2) egress in
-    let rec back z node =
-      nodes.(z) <- node;
-      if z > 0 then begin
-        let idx = ref (-1) in
-        Array.iteri (fun i n -> if !idx < 0 && n = node then idx := i) nodes_of.(z);
-        back (z - 1) parent.(z).(!idx)
-      end
-    in
-    back len parent.(len + 1).(0);
-    nodes.(len + 1) <- egress;
-    Some nodes
-  end
-  else None
-
 (* ------------------------- Solve scratch arena ----------------------- *)
 
 (* Per-solve scratch: flat DP tables plus dense per-resource demand
@@ -122,18 +55,19 @@ let ensure_tables scr ~rows ~stride =
   end;
   scr.stride <- stride
 
-(* The single-sweep DP used by [solve]. Bit-identical to [best_path] but
-   without cache traffic (within one solve every commit bumps the load
-   generation, so the stage-cost cache can never hit) and with a
-   delay-lower-bound prune: [stage_cost = delay + uw * (net + cc)] with
-   [net >= 0] on the monotone non-negative loads a solve accumulates, and
-   float rounding is monotone, so
-   [pc +. (delay +. uw *. cc) >= best] implies the full cost cannot beat
-   [best] under the strict [<] tie-break — the pair is skipped without
-   touching the link arrays. Not used by [resolve]: lift-outs can leave
-   ~1e-16 negative load residues that make [net] infinitesimally negative
-   and void the bound. *)
-let best_path_pruned scr state ~util_weight ~chain ~ingress ~egress =
+(* The SB-DP sweep (Eq. 8) over the flat scratch tables: fill E(z, j) for
+   every element z and candidate j, then walk parents back from the egress.
+   Ties break on the earliest source under the strict [<].
+
+   [prune] skips a candidate pair whose delay-plus-compute lower bound
+   cannot beat the incumbent before its link-cost scan:
+   [stage_cost = delay + uw * (net + cc)] with [net >= 0] on non-negative
+   loads, and float rounding is monotone, so
+   [pc +. (delay +. uw *. cc) >= best] implies the full cost cannot win —
+   the same path as the full scan. [solve] passes it (its loads only
+   grow); [resolve] must not: lift-outs can leave ~1e-16 negative load
+   residues that make [net] infinitesimally negative and void the bound. *)
+let sweep scr ~prune state ~util_weight ~chain ~ingress ~egress =
   let inst = Load_state.instance state in
   let paths = Model.paths (Instance.model inst) in
   let base = (Instance.stage_off inst).(chain) in
@@ -184,7 +118,8 @@ let best_path_pruned scr state ~util_weight ~chain ~ingress ~egress =
           if pc < infinity then begin
             let src = node_at (z - 1) i in
             let delay = Sb_net.Paths.delay paths src node in
-            if pc +. (delay +. uwcc) < !bc then begin
+            if delay < infinity && ((not prune) || pc +. (delay +. uwcc) < !bc)
+            then begin
               let net = Load_state.stage_net_cost state ~chain ~stage:(z - 1) ~src ~dst:node in
               let c = pc +. (delay +. (util_weight *. (net +. cc))) in
               if c < !bc then begin
@@ -210,6 +145,16 @@ let best_path_pruned scr state ~util_weight ~chain ~ingress ~egress =
     Some nodes
   end
   else None
+
+let best_path_with ~prune ?ingress ?egress state ~util_weight ~chain =
+  let m = Load_state.model state in
+  let ingress = match ingress with Some i -> i | None -> Model.chain_ingress m chain in
+  let egress = match egress with Some e -> e | None -> Model.chain_egress m chain in
+  sweep (make_scratch (Load_state.instance state)) ~prune state ~util_weight ~chain
+    ~ingress ~egress
+
+let best_path = best_path_with ~prune:false
+let best_path_pruned = best_path_with ~prune:true
 
 (* Largest fraction of the chain the path can carry within remaining link,
    site, and deployment capacities. Demand is accumulated per resource over
@@ -325,17 +270,11 @@ let min_split = 0.02
 
 (* Route one (ingress, egress) pair of a chain, carrying [share] of the
    chain's traffic; splits across successive least-cost routes as capacity
-   runs out (Section 4.4). [pruned] selects the cache-free pruned DP sweep
-   (single solve over monotone loads) vs. the cached one (resolve, where
-   lifted-out loads void the prune's lower bound). *)
-let route_pair scr ~pruned state routing ~util_weight ~max_routes chain ~ingress ~egress ~share =
+   runs out (Section 4.4). [prune] is passed to the sweep. *)
+let route_pair scr ~prune state routing ~util_weight ~max_routes chain ~ingress ~egress ~share =
   let rec go remaining routes_left =
     if remaining > 1e-9 then begin
-      let path =
-        if pruned then best_path_pruned scr state ~util_weight ~chain ~ingress ~egress
-        else best_path ~ingress ~egress state ~util_weight ~chain
-      in
-      match path with
+      match sweep scr ~prune state ~util_weight ~chain ~ingress ~egress with
       | None -> () (* unroutable chain: leave unrouted; validate will flag *)
       | Some nodes ->
         let headroom =
@@ -353,13 +292,13 @@ let route_pair scr ~pruned state routing ~util_weight ~max_routes chain ~ingress
   in
   go share max_routes
 
-let route_chain scr ~pruned state routing ~util_weight ~max_routes chain =
+let route_chain scr ~prune state routing ~util_weight ~max_routes chain =
   let m = Load_state.model state in
   List.iter
     (fun (ingress, ishare) ->
       List.iter
         (fun (egress, eshare) ->
-          route_pair scr ~pruned state routing ~util_weight ~max_routes chain
+          route_pair scr ~prune state routing ~util_weight ~max_routes chain
             ~ingress ~egress ~share:(ishare *. eshare))
         (Model.chain_egresses m chain))
     (Model.chain_ingresses m chain)
@@ -372,7 +311,7 @@ let solve_into ?(util_weight = default_util_weight) ?(max_routes = 8) ?rng state
   Routing.reset routing;
   let scr = make_scratch inst in
   Array.iter
-    (fun c -> route_chain scr ~pruned:true state routing ~util_weight ~max_routes c)
+    (fun c -> route_chain scr ~prune:true state routing ~util_weight ~max_routes c)
     (chain_order ?rng (Instance.model inst));
   routing
 
@@ -413,14 +352,14 @@ let current_cost state ~util_weight chain paths =
 (* Cost of the chain's best single route per endpoint pair on the same
    lifted-out load — marginal vs marginal, so the hysteresis threshold
    compares like with like. *)
-let alternative_cost state ~util_weight chain =
+let alternative_cost scr state ~util_weight chain =
   let m = Load_state.model state in
   let total = ref 0. and feasible = ref true in
   List.iter
     (fun (ingress, ishare) ->
       List.iter
         (fun (egress, eshare) ->
-          match best_path ~ingress ~egress state ~util_weight ~chain with
+          match sweep scr ~prune:false state ~util_weight ~chain ~ingress ~egress with
           | Some nodes ->
             total := !total +. (ishare *. eshare *. path_cost state ~util_weight chain nodes)
           | None -> feasible := false)
@@ -448,10 +387,7 @@ let resolve ?(util_weight = default_util_weight) ?(max_routes = 8) ?(hysteresis 
       prev_paths.(c)
   done;
   (* Scan phase: lift each chain out, cost its current route set and its
-     best alternative as the same marginal insertion, put it back. Between
-     the lift and the re-commit nothing else mutates, so the load-state
-     generation is fixed and the stage-cost cache is shared across the
-     chain's current-route costing AND its whole DP sweep. An unrouted
+     best alternative as the same marginal insertion, put it back. An unrouted
      chain (dropped by an earlier epoch or unroutable at creation) scores
      infinite gain: routing it at all is the best move. *)
   let candidates = ref [] in
@@ -465,7 +401,7 @@ let resolve ?(util_weight = default_util_weight) ?(max_routes = 8) ?(hysteresis 
     let cur =
       if lifted then current_cost state ~util_weight c prev_paths.(c) else infinity
     in
-    let alt = alternative_cost state ~util_weight c in
+    let alt = alternative_cost scr state ~util_weight c in
     if lifted then
       List.iter (fun (nodes, frac) -> commit state c nodes frac) prev_paths.(c);
     match alt with
@@ -499,6 +435,6 @@ let resolve ?(util_weight = default_util_weight) ?(max_routes = 8) ?(hysteresis 
           (Routing.stage_flows routing ~chain:c ~stage);
         Routing.set_stage routing ~chain:c ~stage []
       done;
-      route_chain scr ~pruned:false state routing ~util_weight ~max_routes c)
+      route_chain scr ~prune:false state routing ~util_weight ~max_routes c)
     rerouted;
   (routing, { rerouted; considered = !considered; over_threshold = List.length ranked })

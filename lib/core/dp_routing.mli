@@ -10,7 +10,18 @@
     traffic within remaining capacities, the chain is split: the route
     carries the fraction its bottleneck allows and the algorithm repeats on
     the next least-cost route (up to [max_routes]; any residual rides the
-    last route). *)
+    last route).
+
+    One DP sweep serves every caller. It runs over flat tables reused per
+    solve and reads each stage cost fresh from the load state (nothing is
+    memoized). Its only variant is a delay-lower-bound prune: a candidate
+    pair whose [delay + uw * compute] bound cannot beat the incumbent
+    under the strict [<] tie-break is skipped before its link-cost scan.
+    That picks the same path as the full scan whenever every load is
+    non-negative, because stage costs are [delay + uw * (net + compute)]
+    with [net >= 0] there and float rounding is monotone. {!solve} prunes
+    (its loads only grow); {!resolve} does not, since lifting a chain out
+    can leave ~1e-16 negative load residues. *)
 
 val default_util_weight : float
 (** Weight converting Fortz–Thorup utilization cost into seconds of
@@ -39,15 +50,7 @@ val solve_into :
     solves in place, so a caller probing many demand scales
     ({!Eval.max_load_factor}'s bisection) allocates nothing per probe.
     Demand is read through the instance, honouring
-    {!Instance.set_scale}. Returns the routing it was given.
-
-    The DP sweep is cache-free and pruned: within one solve every commit
-    bumps the load generation (the stage-cost cache could never hit), and
-    a candidate pair whose delay-plus-compute lower bound cannot beat the
-    incumbent under the strict [<] tie-break is skipped before its
-    link-cost scan — bit-identical decisions to {!best_path}'s full
-    evaluation because stage costs are [delay + uw * (net + cc)] with
-    [net >= 0] on a solve's monotone loads and float rounding monotone. *)
+    {!Instance.set_scale}. Returns the routing it was given. *)
 
 val dp_latency : ?rng:Sb_util.Rng.t -> Model.t -> Routing.t
 (** The DP-LATENCY ablation of Fig. 13a: same holistic dynamic program but
@@ -65,8 +68,19 @@ val best_path :
     sequence (ingress, VNF nodes, egress) for a chain, or [None] if some
     stage has no reachable candidate. [ingress]/[egress] default to the
     chain's first endpoints (multi-endpoint chains are routed per pair by
-    {!solve}). Exposed for the control plane (route recomputation after a
-    two-phase-commit reject) and tests. *)
+    {!solve}). Runs the full, unpruned sweep, so any load state is
+    valid. *)
+
+val best_path_pruned :
+  ?ingress:int ->
+  ?egress:int ->
+  Load_state.t ->
+  util_weight:float ->
+  chain:int ->
+  int array option
+(** {!best_path} with the delay-lower-bound prune {!solve} uses. Returns
+    the same path as {!best_path} when every committed load is
+    non-negative. *)
 
 type resolve_stats = {
   rerouted : int list;
@@ -94,9 +108,8 @@ val resolve :
     relative gain [(cur - alt) / alt] exceeds [hysteresis] (default 0.1) —
     at most [churn_budget] of them per call (default unlimited), highest
     gain first. The scan lifts each chain out before costing, so current
-    and alternative are the same marginal insertion, and performs no other
-    mutation, so the stage-cost cache of the shared load state is reused
-    across the chain's costing and its whole DP sweep. Chains left
+    and alternative are the same marginal insertion; both the scan and the
+    re-route run the unpruned sweep. Chains left
     unrouted by [prev] (or whose current route is infeasible under [m])
     score infinite gain and are re-routed first.
     Returns the new routing plus which chains moved. *)

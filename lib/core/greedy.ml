@@ -115,8 +115,9 @@ let compute_aware_into state routing =
 let choose_onehop util_weight =
   fun state chain stage current candidates ->
     let cost n = Load_state.stage_cost state ~util_weight ~chain ~stage ~src:current ~dst:n in
-    match List.sort (fun a b -> compare (cost a) (cost b)) candidates with
-    | best :: _ -> best
+    let keyed = List.map (fun n -> (cost n, n)) candidates in
+    match List.sort (fun (a, _) (b, _) -> compare (a : float) b) keyed with
+    | (_, best) :: _ -> best
     | [] -> invalid_arg "Greedy.onehop: VNF with no deployment"
 
 let onehop_weight util_weight =

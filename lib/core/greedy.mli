@@ -49,10 +49,6 @@ val route : Model.t -> choose -> Routing.t
 (** Compile the model and route every chain hop by hop with [choose],
     committing load between walks (chain-id order). *)
 
-val route_into : Load_state.t -> Routing.t -> choose -> Routing.t
-(** Arena form of {!route}: resets [state] and [routing] (which must share
-    an instance) and routes in place. *)
-
 val by_delay : Model.t -> int -> int list -> int list
 (** [by_delay m current candidates] sorts candidate nodes by propagation
     delay from [current] — the anycast preference order. *)

@@ -1,10 +1,9 @@
 type t = {
-  mutable m : Model.t;
+  m : Model.t;
   num_chains : int;
   num_nodes : int;
   num_sites : int;
   num_vnfs : int;
-  max_stages : int;
   (* chain -> first global stage id; length num_chains + 1. Stage [z] of
      chain [c] is global stage [stage_off.(c) + z]. *)
   stage_off : int array;
@@ -19,12 +18,9 @@ type t = {
   stage_vnf : int array;
   (* Per global stage: candidate destination nodes (N_cz^dst, Eq. 2) in
      Model.stage_dst_nodes order, as a CSR span and as the identical shared
-     list (for consumers that sort or pattern-match). The CSR arrays are
-     replaced wholesale by [recompile_deployment] (their sizes track the
-     deployment set); every engine re-reads them through the accessors per
-     call, so swapping the arrays is safe. *)
-  mutable dst_off : int array;
-  mutable dst_nodes : int array;
+     list (for consumers that sort or pattern-match). *)
+  dst_off : int array;
+  dst_nodes : int array;
   dst_lists : int list array;
   src_lists : int list array;
   (* node -> site id (-1 when the node hosts no site), and the site/VNF
@@ -34,19 +30,13 @@ type t = {
   site_node : int array;
   vnf_cpu : float array;
   (* Dense (vnf, site) -> m_sf; 0. when not deployed. Indexed
-     [vnf * num_sites + site]. Fixed size, so [recompile_deployment]
-     refills it in place — [Load_state] holds a permanent alias. *)
+     [vnf * num_sites + site]. *)
   dep_cap : float array;
   (* Per VNF: its deployments as a CSR span, in Model.vnf_sites order
-     (increasing site id) — the iteration order bottleneck scans rely on.
-     Replaced wholesale by [recompile_deployment]. *)
-  mutable vdep_off : int array;
-  mutable vdep_site : int array;
-  mutable vdep_cap : float array;
-  (* Bumped by every [recompile_deployment]; consumers caching
-     deployment-derived state (Load_state's stage-cost cache) compare
-     against it to invalidate. *)
-  mutable dep_epoch : int;
+     (increasing site id) — the iteration order bottleneck scans rely on. *)
+  vdep_off : int array;
+  vdep_site : int array;
+  vdep_cap : float array;
 }
 
 (* CSR pack of the per-stage candidate-node lists. *)
@@ -66,9 +56,9 @@ let build_dst_csr ~total dst_lists =
   done;
   (dst_off, dst_nodes)
 
-(* VNF-deployment CSR; fills the caller's (pre-zeroed) dense [dep_cap]
-   as a side effect. *)
-let build_vdeps m ~nf ~ns dep_cap =
+(* VNF-deployment CSR plus the dense [dep_cap] view of the same table. *)
+let build_vdeps m ~nf ~ns =
+  let dep_cap = Array.make (max 1 (nf * ns)) 0. in
   let vdep_off = Array.make (nf + 1) 0 in
   for f = 0 to nf - 1 do
     vdep_off.(f + 1) <- vdep_off.(f) + List.length (Model.vnf_sites m f)
@@ -86,7 +76,7 @@ let build_vdeps m ~nf ~ns dep_cap =
         incr k)
       (Model.vnf_sites m f)
   done;
-  (vdep_off, vdep_site, vdep_cap)
+  (vdep_off, vdep_site, vdep_cap, dep_cap)
 
 let compile m =
   let nc = Model.num_chains m in
@@ -94,11 +84,8 @@ let compile m =
   let nf = Model.num_vnfs m in
   let nn = Sb_net.Topology.num_nodes (Model.topology m) in
   let stage_off = Array.make (nc + 1) 0 in
-  let max_stages = ref 1 in
   for c = 0 to nc - 1 do
-    let nz = Model.num_stages m c in
-    stage_off.(c + 1) <- stage_off.(c) + nz;
-    if nz > !max_stages then max_stages := nz
+    stage_off.(c + 1) <- stage_off.(c) + Model.num_stages m c
   done;
   let total = stage_off.(nc) in
   let fwd_base = Array.make (max 1 total) 0. in
@@ -126,15 +113,13 @@ let compile m =
     | Some s -> node_site.(n) <- s
     | None -> ()
   done;
-  let dep_cap = Array.make (max 1 (nf * ns)) 0. in
-  let vdep_off, vdep_site, vdep_cap = build_vdeps m ~nf ~ns dep_cap in
+  let vdep_off, vdep_site, vdep_cap, dep_cap = build_vdeps m ~nf ~ns in
   {
     m;
     num_chains = nc;
     num_nodes = nn;
     num_sites = ns;
     num_vnfs = nf;
-    max_stages = !max_stages;
     stage_off;
     fwd_base;
     rev_base;
@@ -152,54 +137,13 @@ let compile m =
     vdep_off;
     vdep_site;
     vdep_cap;
-    dep_epoch = 0;
   }
-
-let recompile_deployment t m' =
-  if
-    Model.num_chains m' <> t.num_chains
-    || Model.num_sites m' <> t.num_sites
-    || Model.num_vnfs m' <> t.num_vnfs
-    || Sb_net.Topology.num_nodes (Model.topology m') <> t.num_nodes
-  then invalid_arg "Instance.recompile_deployment: model shape changed";
-  for c = 0 to t.num_chains - 1 do
-    if Model.num_stages m' c <> t.stage_off.(c + 1) - t.stage_off.(c) then
-      invalid_arg "Instance.recompile_deployment: chain stages changed"
-  done;
-  (* Candidate node sets follow the deployment set; the per-stage list
-     array keeps its length (stage counts are unchanged), so entries are
-     overwritten in place and the CSR arrays rebuilt. *)
-  let total = t.stage_off.(t.num_chains) in
-  for c = 0 to t.num_chains - 1 do
-    let base = t.stage_off.(c) in
-    for z = 0 to t.stage_off.(c + 1) - base - 1 do
-      let gz = base + z in
-      t.dst_lists.(gz) <- Model.stage_dst_nodes m' ~chain:c ~stage:z;
-      t.src_lists.(gz) <- Model.stage_src_nodes m' ~chain:c ~stage:z
-    done
-  done;
-  let dst_off, dst_nodes = build_dst_csr ~total t.dst_lists in
-  t.dst_off <- dst_off;
-  t.dst_nodes <- dst_nodes;
-  (* [dep_cap] is permanently aliased by Load_state: refill in place. *)
-  Array.fill t.dep_cap 0 (Array.length t.dep_cap) 0.;
-  let vdep_off, vdep_site, vdep_cap =
-    build_vdeps m' ~nf:t.num_vnfs ~ns:t.num_sites t.dep_cap
-  in
-  t.vdep_off <- vdep_off;
-  t.vdep_site <- vdep_site;
-  t.vdep_cap <- vdep_cap;
-  t.m <- m';
-  t.dep_epoch <- t.dep_epoch + 1
-
-let deployment_epoch t = t.dep_epoch
 
 let model t = t.m
 let num_chains t = t.num_chains
 let num_nodes t = t.num_nodes
 let num_sites t = t.num_sites
 let num_vnfs t = t.num_vnfs
-let max_stages t = t.max_stages
 let num_stages_total t = t.stage_off.(t.num_chains)
 let num_stages t c = t.stage_off.(c + 1) - t.stage_off.(c)
 let stage_index t ~chain ~stage = t.stage_off.(chain) + stage

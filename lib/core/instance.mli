@@ -7,24 +7,18 @@
     node sets are packed spans sharing the model's enumeration order, and
     the site/VNF tables become flat arrays.
 
-    Two pieces of state are mutable. The demand [scale] factor: engines
+    One piece of state is mutable: the demand [scale] factor. Engines
     read stage demand as [base *. scale], so {!Eval}'s bisection can probe
     a scaled instance in place instead of allocating a scaled model copy
     per probe. [scale = 1.] (the default) reproduces the model's demand
     bit-for-bit ([x *. 1. = x] for every finite float), and
     [set_scale t f] reproduces {!Model.with_scaled_traffic}[ m f] exactly
-    — both compute [base *. f]. And the {e deployment view}:
-    {!recompile_deployment} re-derives every deployment-dependent array
-    (candidate-node CSR, VNF-deployment CSR, dense capacities) from an
-    edited model without touching the chain/stage/topology layout, so
-    instance add/remove flows through a live instance instead of forcing
-    every consumer to rebuild. Each edit bumps {!deployment_epoch};
-    consumers that cache deployment-derived state (the [Load_state]
-    stage-cost cache) compare against it.
+    — both compute [base *. f]. A model with a different deployment set
+    (a placement scale-out or drain) is compiled afresh.
 
     Everything else is immutable after {!compile}, so one instance may be
     shared across domains by read-only consumers; an instance whose scale
-    or deployment is mutated must be private to its domain. *)
+    is mutated must be private to its domain. *)
 
 type t
 
@@ -36,32 +30,12 @@ val num_nodes : t -> int
 val num_sites : t -> int
 val num_vnfs : t -> int
 
-val max_stages : t -> int
-(** Max over chains of {!Model.num_stages} (at least 1) — the stage-cost
-    cache key stride. *)
-
 val num_stages_total : t -> int
 (** Total global stages, [stage_off.(num_chains)]. *)
 
 val num_stages : t -> int -> int
 val stage_index : t -> chain:int -> stage:int -> int
 (** The global stage id [stage_off.(chain) + stage]. *)
-
-val recompile_deployment : t -> Model.t -> unit
-(** [recompile_deployment t m'] switches [t] to [m']'s deployment set:
-    rebuilds the candidate-node CSR ([dst_off]/[dst_nodes] and the shared
-    stage lists), the VNF-deployment CSR ([vdep_off]/[vdep_site]/
-    [vdep_cap]) and refills the dense [dep_cap] {e in place} (long-lived
-    aliases stay valid), then bumps {!deployment_epoch}. [m'] must have
-    the same chains, stage counts, sites, VNFs and nodes as the compiled
-    model — only deployments (and traffic-independent candidate sets
-    derived from them) may differ; anything else raises
-    [Invalid_argument]. Cost is O(stages + deployments), not a full
-    {!compile}. *)
-
-val deployment_epoch : t -> int
-(** Starts at 0, +1 per {!recompile_deployment} — the invalidation stamp
-    for deployment-derived caches. *)
 
 val scale : t -> float
 val set_scale : t -> float -> unit

@@ -4,28 +4,6 @@ type t = {
   site_loads : float array;
   vnf_loads : float array; (* flattened: vnf * num_sites + site *)
   num_sites : int;
-  mutable generation : int;
-      (* bumped by every commit; stage-cost cache entries from an older
-         generation are invalid (the committed load may touch their links
-         or VNF sites) *)
-  mutable dep_seen : int;
-      (* Instance.deployment_epoch this state last synced against; a
-         mismatch means a recompile_deployment happened under us and every
-         cached stage cost may refer to a retired or new deployment *)
-  (* Generation-stamped direct-mapped stage-cost cache. A slot is valid iff
-     its stamp equals the current generation and its key matches, so a
-     commit invalidates everything implicitly — no reset pass, no
-     allocation, O(1) probes on both hit and miss. Collisions simply
-     evict; entries are pure functions of (key, generation), so eviction
-     only costs recomputation. Allocated lazily on first probe: single
-     DP sweeps never hit it (every commit bumps the generation), and
-     Eval's bisection arenas don't want ~400 KB of dead arrays. *)
-  mutable cache_keys : int array; (* packed (chain,stage,src,dst); -1 = empty *)
-  mutable cache_stamps : int array; (* generation the slot was written at *)
-  mutable cache_vals : float array;
-  mutable cache_weight : float; (* util_weight the cache contents belong to *)
-  key_n : int; (* num_nodes, for key packing *)
-  key_stages : int; (* max stages over chains, for key packing *)
   (* Hot fields of [inst], re-exposed to keep commits at field-read cost. *)
   stage_off : int array;
   fwd_base : float array;
@@ -36,13 +14,6 @@ type t = {
   dep_cap : float array;
 }
 
-let cache_bits = 14
-let cache_slots = 1 lsl cache_bits
-
-let cache_slot key =
-  (* Fibonacci hashing of the packed key; [lsr] keeps it non-negative. *)
-  (key * 0x2545F4914F6CDD1D) lsr (63 - cache_bits) land (cache_slots - 1)
-
 let of_instance inst =
   let m = Instance.model inst in
   {
@@ -51,14 +22,6 @@ let of_instance inst =
     site_loads = Array.make (Instance.num_sites inst) 0.;
     vnf_loads = Array.make (Instance.num_vnfs inst * Instance.num_sites inst) 0.;
     num_sites = Instance.num_sites inst;
-    generation = 0;
-    dep_seen = Instance.deployment_epoch inst;
-    cache_keys = [||];
-    cache_stamps = [||];
-    cache_vals = [||];
-    cache_weight = nan;
-    key_n = Instance.num_nodes inst;
-    key_stages = Instance.max_stages inst;
     stage_off = Instance.stage_off inst;
     fwd_base = Instance.fwd_base inst;
     rev_base = Instance.rev_base inst;
@@ -70,48 +33,16 @@ let of_instance inst =
 
 let create m = of_instance (Instance.compile m)
 
-let copy t =
-  {
-    t with
-    net = Sb_net.Load.copy t.net;
-    site_loads = Array.copy t.site_loads;
-    vnf_loads = Array.copy t.vnf_loads;
-    (* The copy diverges from here on: give it an empty cache of its own. *)
-    cache_keys = [||];
-    cache_stamps = [||];
-    cache_vals = [||];
-  }
-
 let reset t =
   Sb_net.Load.reset t.net;
   Array.fill t.site_loads 0 (Array.length t.site_loads) 0.;
-  Array.fill t.vnf_loads 0 (Array.length t.vnf_loads) 0.;
-  (* One bump invalidates every cache entry stamped before the reset. *)
-  t.generation <- t.generation + 1
+  Array.fill t.vnf_loads 0 (Array.length t.vnf_loads) 0.
 
 let model t = Instance.model t.inst
 let instance t = t.inst
-let generation t = t.generation
-
-(* The dense [dep_cap] alias is refilled in place by
-   [Instance.recompile_deployment], so raw reads are always fresh; only
-   the stamped stage-cost cache can go stale. One generation bump orphans
-   it. *)
-let sync_deployment t =
-  let e = Instance.deployment_epoch t.inst in
-  if e <> t.dep_seen then begin
-    t.dep_seen <- e;
-    t.generation <- t.generation + 1
-  end
-
 let site_load t s = t.site_loads.(s)
 let vnf_load t ~vnf ~site = t.vnf_loads.((vnf * t.num_sites) + site)
 let link_sb_load t e = Sb_net.Load.link_load t.net e
-
-let link_utilization t e =
-  let m = Instance.model t.inst in
-  let l = Sb_net.Topology.link (Model.topology m) e in
-  (Model.background m e +. Sb_net.Load.link_load t.net e) /. l.bandwidth
 
 let site_utilization t s = t.site_loads.(s) /. (Instance.site_cap t.inst).(s)
 
@@ -132,7 +63,6 @@ let charge_compute t ~f ~node ~volume =
   end
 
 let add_stage_flow t ~chain ~stage ~src ~dst ~frac =
-  t.generation <- t.generation + 1;
   let gz = t.stage_off.(chain) + stage in
   let scale = Instance.scale t.inst in
   let w = t.fwd_base.(gz) *. scale in
@@ -147,29 +77,24 @@ let add_stage_flow t ~chain ~stage ~src ~dst ~frac =
   charge_compute t ~f:src_vnf ~node:src ~volume;
   charge_compute t ~f:t.stage_vnf.(gz) ~node:dst ~volume
 
-type binding = No_load | Link of int * float | Site of int * float | Vnf of int * int * float
-
-let find_bottleneck t =
+(* The least headroom ratio over every loaded link, site and deployment. *)
+let max_alpha t =
   let m = Instance.model t.inst in
   let topo = Model.topology m in
-  let best = ref No_load in
-  let alpha_of = function
-    | No_load -> infinity
-    | Link (_, a) | Site (_, a) | Vnf (_, _, a) -> a
-  in
-  let consider b = if alpha_of b < alpha_of !best then best := b in
+  let best = ref infinity in
+  let consider a = if a < !best then best := a in
   for e = 0 to Sb_net.Topology.num_links topo - 1 do
     let load = Sb_net.Load.link_load t.net e in
     if load > 1e-12 then begin
       let l = Sb_net.Topology.link topo e in
       let headroom = (Model.beta m *. l.bandwidth) -. Model.background m e in
-      consider (Link (e, Float.max 0. headroom /. load))
+      consider (Float.max 0. headroom /. load)
     end
   done;
   let site_cap = Instance.site_cap t.inst in
   for s = 0 to t.num_sites - 1 do
     if t.site_loads.(s) > 1e-12 then
-      consider (Site (s, site_cap.(s) /. t.site_loads.(s)))
+      consider (site_cap.(s) /. t.site_loads.(s))
   done;
   let vdep_off = Instance.vdep_off t.inst in
   let vdep_site = Instance.vdep_site t.inst in
@@ -178,30 +103,10 @@ let find_bottleneck t =
     for k = vdep_off.(f) to vdep_off.(f + 1) - 1 do
       let s = vdep_site.(k) in
       let load = t.vnf_loads.((f * t.num_sites) + s) in
-      if load > 1e-12 then consider (Vnf (f, s, vdep_cap.(k) /. load))
+      if load > 1e-12 then consider (vdep_cap.(k) /. load)
     done
   done;
   !best
-
-let max_alpha t =
-  match find_bottleneck t with
-  | No_load -> infinity
-  | Link (_, a) | Site (_, a) | Vnf (_, _, a) -> a
-
-let bottleneck t =
-  let m = Instance.model t.inst in
-  match find_bottleneck t with
-  | No_load -> "no load committed"
-  | Link (e, a) ->
-    let l = Sb_net.Topology.link (Model.topology m) e in
-    Printf.sprintf "link %d (%s -> %s), alpha=%.3f"
-      e
-      (Sb_net.Topology.node_name (Model.topology m) l.src)
-      (Sb_net.Topology.node_name (Model.topology m) l.dst)
-      a
-  | Site (s, a) -> Printf.sprintf "site %d compute, alpha=%.3f" s a
-  | Vnf (f, s, a) ->
-    Printf.sprintf "vnf %s at site %d, alpha=%.3f" (Model.vnf_name m f) s a
 
 let stage_compute_cost t ~chain ~stage ~dst =
   let gz = t.stage_off.(chain) + stage in
@@ -234,59 +139,11 @@ let stage_net_cost t ~chain ~stage ~src ~dst =
   let v = t.rev_base.(gz) *. scale in
   Sb_net.Load.path_network_cost_pair t.net ~src ~dst ~fwd:w ~rev:v
 
-let ensure_cache t =
-  if Array.length t.cache_stamps = 0 then begin
-    t.cache_keys <- Array.make cache_slots (-1);
-    t.cache_stamps <- Array.make cache_slots (-1);
-    t.cache_vals <- Array.make cache_slots 0.
-  end
-
-(* A weight change orphans every cached entry; it happens at most once per
-   solve, so a full stamp wipe is fine. *)
-let cache_set_weight t util_weight =
-  if t.cache_weight <> util_weight then begin
-    if Array.length t.cache_stamps > 0 then
-      Array.fill t.cache_stamps 0 cache_slots (-1);
-    t.cache_weight <- util_weight
-  end
-
-let stage_cost_cached t ~util_weight ~chain ~stage ~src ~dst ~compute_cost =
-  (* The pure-delay component is a single flat-array lookup in Paths. *)
-  let delay = Sb_net.Paths.delay (Model.paths (Instance.model t.inst)) src dst in
-  if delay = infinity then infinity
-  else begin
-    sync_deployment t;
-    ensure_cache t;
-    cache_set_weight t util_weight;
-    let key =
-      ((((chain * t.key_stages) + stage) * t.key_n) + src) * t.key_n + dst
-    in
-    let slot = cache_slot key in
-    if t.cache_stamps.(slot) = t.generation && t.cache_keys.(slot) = key then
-      t.cache_vals.(slot)
-    else begin
-      let net_cost = stage_net_cost t ~chain ~stage ~src ~dst in
-      let compute_cost =
-        match compute_cost with
-        | Some c -> c
-        | None -> stage_compute_cost t ~chain ~stage ~dst
-      in
-      let c = delay +. (util_weight *. (net_cost +. compute_cost)) in
-      t.cache_keys.(slot) <- key;
-      t.cache_stamps.(slot) <- t.generation;
-      t.cache_vals.(slot) <- c;
-      c
-    end
-  end
-
 let stage_cost t ~util_weight ~chain ~stage ~src ~dst =
-  if util_weight = 0. then
-    Sb_net.Paths.delay (Model.paths (Instance.model t.inst)) src dst
-  else stage_cost_cached t ~util_weight ~chain ~stage ~src ~dst ~compute_cost:None
-
-let stage_cost_hinted t ~util_weight ~chain ~stage ~src ~dst ~compute_cost =
-  if util_weight = 0. then
-    Sb_net.Paths.delay (Model.paths (Instance.model t.inst)) src dst
+  let delay = Sb_net.Paths.delay (Model.paths (Instance.model t.inst)) src dst in
+  if util_weight = 0. || delay = infinity then delay
   else
-    stage_cost_cached t ~util_weight ~chain ~stage ~src ~dst
-      ~compute_cost:(Some compute_cost)
+    delay
+    +. (util_weight
+       *. (stage_net_cost t ~chain ~stage ~src ~dst
+          +. stage_compute_cost t ~chain ~stage ~dst))

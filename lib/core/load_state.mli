@@ -10,7 +10,10 @@
     route; {!Routing.load_state} evaluates a complete routing in one pass.
     The capacity headroom of the accumulated loads determines the maximum
     supported traffic-scaling factor alpha (paper Section 4.2, cloud
-    capacity planning, and the throughput metric of Fig. 12). *)
+    capacity planning, and the throughput metric of Fig. 12).
+
+    Nothing is memoized: every cost query reads the current loads, so a
+    commit never has anything to invalidate. *)
 
 type t
 
@@ -24,39 +27,18 @@ val of_instance : Instance.t -> t
     commits charge — the mechanism {!Eval}'s bisection uses to probe scaled
     demand without allocating a model copy per probe. *)
 
-val copy : t -> t
 val model : t -> Model.t
 val instance : t -> Instance.t
 
 val reset : t -> unit
 (** Return to the all-zero state of a fresh {!of_instance} in place: link,
-    site and deployment loads are zeroed and the generation is bumped (so
-    stale stage-cost cache entries die), but no arrays are reallocated.
+    site and deployment loads are zeroed, but no arrays are reallocated.
     The arena primitive behind {!Eval}'s bisection. *)
-
-val generation : t -> int
-(** Commit counter: incremented by every {!add_stage_flow}. The stage-cost
-    cache (see {!stage_cost}) is valid for exactly one generation — any
-    commit may touch the links or VNF sites behind a cached entry, so a
-    bump conservatively invalidates all of them. *)
-
-val sync_deployment : t -> unit
-(** Catch up with an {!Instance.recompile_deployment} on the underlying
-    instance: if {!Instance.deployment_epoch} moved since this state last
-    looked, bump the generation so every cached stage cost (computed
-    against the old deployment set) is orphaned. The dense capacity view
-    itself is refilled in place by the recompile, so raw utilization
-    reads never go stale — only the cache. Called automatically on the
-    cached {!stage_cost} path; cheap (one int compare) when nothing
-    changed. *)
 
 val site_load : t -> int -> float
 val vnf_load : t -> vnf:int -> site:int -> float
 val link_sb_load : t -> int -> float
 (** Switchboard traffic on a link, excluding background. *)
-
-val link_utilization : t -> int -> float
-(** (background + Switchboard) / bandwidth. *)
 
 val site_utilization : t -> int -> float
 val vnf_utilization : t -> vnf:int -> site:int -> float
@@ -76,24 +58,16 @@ val max_alpha : t -> float
     loaded; can be < 1 when the unit-demand routing already oversubscribes
     a resource. *)
 
-val bottleneck : t -> string
-(** Human-readable description of the binding resource of {!max_alpha}. *)
-
 val stage_cost :
   t -> util_weight:float -> chain:int -> stage:int -> src:int -> dst:int -> float
 (** SB-DP's cost of routing a stage from node [src] to node [dst]
     (Section 4.4): propagation delay plus [util_weight] times the sum of
     the Fortz–Thorup network-utilization cost (over links on the path) and
     the compute-utilization cost of the receiving VNF at the destination.
-    [util_weight = 0.] recovers the DP-LATENCY ablation.
-
-    Results are memoized in a generation-stamped direct-mapped cache keyed
-    by [(chain, stage, src, dst)]: entries are valid until the next commit
-    ({!generation} bump) or a different [util_weight], so repeated DP
-    evaluations against an unchanged load state (e.g. control-plane route
-    recomputation after a two-phase-commit reject) cost one array probe.
-    Misses cost one probe plus the recomputation — commits never pay a
-    cache-clearing pass. *)
+    [util_weight = 0.] recovers the DP-LATENCY ablation. [infinity] when
+    [dst] is unreachable from [src]. Computed as
+    [delay +. util_weight *. (]{!stage_net_cost}[ +. ]{!stage_compute_cost}[)],
+    the expression SB-DP's sweep evaluates. *)
 
 val stage_compute_cost : t -> chain:int -> stage:int -> dst:int -> float
 (** The compute-utilization term of {!stage_cost} alone: the convex-cost
@@ -102,23 +76,7 @@ val stage_compute_cost : t -> chain:int -> stage:int -> dst:int -> float
     no usable deployment at [dst]). Independent of [src] — the DP hoists it
     out of its inner loop. *)
 
-val stage_cost_hinted :
-  t ->
-  util_weight:float ->
-  chain:int ->
-  stage:int ->
-  src:int ->
-  dst:int ->
-  compute_cost:float ->
-  float
-(** {!stage_cost} with the [compute_cost] term supplied by the caller
-    (obtained from {!stage_compute_cost} once per [(stage, dst)] rather
-    than once per [(src, dst)] pair). Same value, same cache. *)
-
 val stage_net_cost : t -> chain:int -> stage:int -> src:int -> dst:int -> float
 (** The network-utilization term of {!stage_cost} alone
     ({!Sb_net.Load.path_network_cost_pair} of the stage's forward and
-    reverse demand), uncached. SB-DP's single-sweep solve uses this
-    directly: within one solve every commit bumps the generation, so the
-    cache could never hit anyway — skipping the probe-and-insert traffic
-    is pure profit. *)
+    reverse demand). *)

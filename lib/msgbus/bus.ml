@@ -1,8 +1,14 @@
 type 'a sub = { s_site : int; s_time : float; s_callback : 'a -> unit }
 
-type 'a proxy = {
+(* A site's egress proxy. [finishes] holds the serialization-finish
+   times of the copies it has accepted, oldest first (each copy starts
+   once the previous one is done, so they never decrease). A copy counts
+   against the buffer until its finish time is strictly in the past; the
+   queue depth at [now] is what remains after popping the entries
+   [< now], with no engine event per copy. *)
+type proxy = {
   mutable busy_until : float;
-  mutable queued : int;
+  finishes : float Queue.t;
 }
 
 type fault_decision = Deliver | Drop | Delay of float
@@ -16,7 +22,7 @@ type 'a t = {
   size_fn : ('a -> int) option;
   topic_key : string -> string;
   buffer : int;
-  proxies : 'a proxy array;
+  proxies : proxy array;
   subs : (string, 'a sub list ref) Hashtbl.t;
   retained : (string, 'a * int) Hashtbl.t; (* payload, publisher site *)
   mutable published : int;
@@ -76,9 +82,9 @@ let local_delay = 0.0005
 
 let reservoir_capacity = 16_384
 
-(* Multiply-xorshift finalizer over the native int (the same 62-bit-safe
-   multiplier as the stage-cost cache hash): a deterministic stand-in for
-   the uniform draw of reservoir sampling. *)
+(* Multiply-xorshift finalizer over the native int (a 62-bit-safe
+   Fibonacci-hashing multiplier): a deterministic stand-in for the uniform
+   draw of reservoir sampling. *)
 let mix_ordinal n =
   let h = n * 0x2545F4914F6CDD1D in
   let h = (h lxor (h lsr 29)) * 0x2545F4914F6CDD1D in
@@ -95,7 +101,7 @@ let create eng ~mode ~num_sites ~delay ?(egress_rate = 20_000.) ?bandwidth
     size_fn;
     topic_key;
     buffer;
-    proxies = Array.init num_sites (fun _ -> { busy_until = 0.; queued = 0 });
+    proxies = Array.init num_sites (fun _ -> { busy_until = 0.; finishes = Queue.create () });
     subs = Hashtbl.create 64;
     retained = Hashtbl.create 64;
     published = 0;
@@ -168,10 +174,12 @@ let send_wan (t : _ t) ~topic ~msg ~size ~src ~dst deliver =
   | Drop -> t.fault_dropped <- t.fault_dropped + 1
   | (Deliver | Delay _) as d ->
     let proxy = t.proxies.(src) in
-    if proxy.queued >= t.buffer then t.dropped <- t.dropped + 1
+    let now = Sb_sim.Engine.now t.eng in
+    while (not (Queue.is_empty proxy.finishes)) && Queue.peek proxy.finishes < now do
+      ignore (Queue.pop proxy.finishes)
+    done;
+    if Queue.length proxy.finishes >= t.buffer then t.dropped <- t.dropped + 1
     else begin
-      proxy.queued <- proxy.queued + 1;
-      let now = Sb_sim.Engine.now t.eng in
       let start = Float.max now proxy.busy_until in
       let ser =
         match t.bandwidth with
@@ -180,6 +188,7 @@ let send_wan (t : _ t) ~topic ~msg ~size ~src ~dst deliver =
       in
       let finish = start +. ser in
       proxy.busy_until <- finish;
+      Queue.push finish proxy.finishes;
       t.wan_messages <- t.wan_messages + 1;
       t.wan_bytes <- t.wan_bytes + size;
       let extra = match d with Delay e -> Float.max 0. e | _ -> 0. in
@@ -194,9 +203,6 @@ let send_wan (t : _ t) ~topic ~msg ~size ~src ~dst deliver =
         | None -> arrival
       in
       Hashtbl.replace t.pair_last (src, dst) arrival;
-      ignore
-        (Sb_sim.Engine.schedule_at t.eng ~time:finish (fun () ->
-             proxy.queued <- proxy.queued - 1));
       ignore (Sb_sim.Engine.schedule_at t.eng ~time:arrival deliver)
     end
 
