@@ -172,11 +172,14 @@ type ctx = {
 
 (* The one epoch driver: grid, probes, scoring and report; an arm passes
    only the stages that differ. In epoch [e] from [te]: probes into the
-   [probed] system at [te + 0.05T] ([on_probe] first), [advertise] at
-   [te + 0.90T], scoring of [paths e truth] against [score_model truth] at
-   [te + 0.95T], [control] at [te + T + control_lag] (not after the last
-   epoch), and [stop] just after the last epoch. *)
-let drive ctx ?probed ?(on_probe = ignore) ?advertise ?control ?(score_model = Fun.id)
+   [probed] system at [te + 0.05T], [advertise] at [te + 0.90T], scoring
+   of [paths e truth] against [score_model truth] at [te + 0.95T],
+   [control] at [te + T + control_lag] (not after the last epoch), and
+   [stop] just after the last epoch. The probe tick first drives the
+   system's flow-expiry clock: connections idle for two epochs age out, so
+   the forwarders' per-connection state is bounded by the live probe
+   window however long the run, and a drain can complete. *)
+let drive ctx ?probed ?advertise ?control ?(score_model = Fun.id)
     ?(down_links = fun e -> List.length (failed_at ctx.sc e)) ?(reports = fun () -> 0) ?stop
     ?(scale_actions = fun () -> 0) eng paths =
   let sc = ctx.sc and p = ctx.p in
@@ -184,9 +187,11 @@ let drive ctx ?probed ?(on_probe = ignore) ?advertise ?control ?(score_model = F
   let rng = Rng.split ~stream:1 (Rng.create p.seed) in
   let probe e =
     ctx.failed_now := failed_at sc e;
-    on_probe e;
     Option.iter
       (fun (sys, ids) ->
+        let sh = System.shard sys in
+        Sb_dataplane.Shard.set_clock sh e;
+        if e >= 2 then ignore (Sb_dataplane.Shard.expire_flows sh ~idle_before:(e - 2));
         Array.iteri
           (fun c id ->
             let units =
@@ -290,6 +295,9 @@ let establish ?(on_system = ignore) sc p r0 =
       if Float.is_finite d then d else 0.05
   in
   let sys = System.create ~seed:p.seed ~lanes:p.lanes ~num_sites ~delay ~gsb_site:0 () in
+  (* Nothing here reads the control-plane event log, which would otherwise
+     grow by a few lines per transaction for the whole run. *)
+  System.set_logging sys false;
   (* Provision every deployment from the model, with headroom over the
      model's capacity so the VNF controllers' admission (keyed to the
      static per-chain spec traffic) never vetoes a re-route the resolver
@@ -424,14 +432,6 @@ let closed_loop ?on_system ctx =
         | routes -> System.update_routes sys ~chain:ids.(c) routes)
       stats.Dp.rerouted
   in
-  (* With a planner, the probe tick drives the flow-expiry clock: flows idle
-     for two epochs age out, so a drain can complete. Off without one, so
-     the route-only loop stays byte-identical to its pre-placement self. *)
-  let expire e =
-    let sh = System.shard sys in
-    Sb_dataplane.Shard.set_clock sh e;
-    if e >= 2 then ignore (Sb_dataplane.Shard.expire_flows sh ~idle_before:(e - 2))
-  in
   let installed () =
     Array.map
       (fun id ->
@@ -457,7 +457,6 @@ let closed_loop ?on_system ctx =
   drive ctx (System.engine sys)
     (fun _ _ -> installed ())
     ~probed:(sys, ids) ~control ~score_model
-    ~on_probe:(if planner = None then ignore else expire)
     ~down_links:(fun e -> if e = 0 then 0 else down_at.(e - 1))
     ~reports:(fun () -> Telemetry.Aggregator.reports agg)
     ~stop:(fun () -> List.iter Telemetry.Exporter.stop exporters)

@@ -59,10 +59,13 @@ type params = {
           [Closed_loop] arm: a {!Place} planner runs every control tick,
           scale-outs go through {!Sb_ctrl.System.scale_out} + the next
           route rollout, scale-ins through a route rollout excluding the
-          site followed by {!Sb_ctrl.System.drain_and_remove}, and the
-          epoch tick drives the flow-expiry clock so drains complete.
-          [None] (the default) leaves the route-only loop bit-identical
-          to its pre-placement behaviour. Other arms reject [Some _]. *)
+          site followed by {!Sb_ctrl.System.drain_and_remove}, which
+          completes once the established flows idle out. [None] (the
+          default) runs the route-only loop. Other arms reject [Some _].
+          Every live arm ([Closed_loop], [Anycast_dist]) ages its
+          forwarders' flows out: each probe tick advances the flow-expiry
+          clock and evicts connections idle for two epochs, so flow state
+          stays bounded by the live probe window. *)
 }
 
 val default_params : params
@@ -107,7 +110,9 @@ val run :
     scenario and params. [on_system] is called with the assembled control
     plane once the initial chains are committed, before the epoch grid is
     scheduled — the [sb_chaos] injection point for faulting a live arm
-    mid-flight.
+    mid-flight. The assembled system runs with its event log off
+    ({!Sb_ctrl.System.set_logging}); a caller that wants the log turns it
+    back on here.
 
     Raises [Invalid_argument] before anything runs on a non-positive
     [sc_epochs]; an [sc_epoch_len] that is NaN, infinite, zero or

@@ -24,10 +24,16 @@ type vnf_ctl = {
      The flag is false when a compiled delta marked this VNF's demand
      unchanged: the allocation is re-reserved as-is and the Instance_info
      republish is skipped at commit — the O(churn) half of the rollout. *)
-  v_voted : (int, msg) Hashtbl.t;
-  (* txid -> the Vote published, so a retransmitted Prepare (the original
-     vote was lost in the wide area) is answered from memory instead of
-     re-running admission — duplicate Prepares are idempotent *)
+  v_voted : (int, int * msg) Hashtbl.t;
+  (* txid -> chain and the Vote published, so a retransmitted Prepare (the
+     original vote was lost in the wide area) is answered from memory
+     instead of re-running admission — duplicate Prepares are idempotent.
+     Dropped when the decision arrives. *)
+  v_decided : (int, int) Hashtbl.t;
+  (* chain -> highest txid whose decision arrived. 2PC is serialized per
+     chain in txid order, so a Prepare at or below it is a stale copy of a
+     decided transaction: it must not reserve again, and with the vote
+     memory gone it is ignored. *)
   v_applied : (int, int) Hashtbl.t;
   (* chain -> highest txid whose Commit was applied. Under loss a Commit
      can be first received out of order (the original copy dropped, the
@@ -148,7 +154,6 @@ type t = {
      apply guard depends on it. *)
   mutable gsb_down : bool;
   attachments : (string, int) Hashtbl.t; (* attachment -> site *)
-  pending_commits : (int, int * chain_spec) Hashtbl.t; (* txid -> chain, spec *)
   mutable next_chain : int;
   mutable next_txid : int;
   mutable route_policy :
@@ -364,7 +369,7 @@ let maybe_publish_forwarder_weight t ls (lc : local_chain) vnf =
             if w > 0. then Some (f, w) else None)
           t.sites.(ls.ls_site).forwarders
       in
-      Bus.publish t.bus ~site:ls.ls_site
+      Bus.publish_retained t.bus ~site:ls.ls_site
         ~topic:(forwarders_topic ~chain:lc.lc_id ~egress ~vnf ~site:ls.ls_site)
         (Forwarder_info { vnf; site = ls.ls_site; forwarders = per_forwarder })
     end
@@ -545,8 +550,8 @@ let vnf_on_prepare t (v : vnf_ctl) ~txid ~chain ~(delta : chain_delta) =
         rejected = !rejected;
       }
   in
-  Hashtbl.replace v.v_voted txid vote;
-  Bus.publish t.bus ~site:v.v_home ~topic:(votes_topic ~txid) vote
+  Hashtbl.replace v.v_voted txid (chain, vote);
+  Bus.publish t.bus ~site:v.v_home ~topic:votes_topic vote
 
 let vnf_on_commit t (v : vnf_ctl) ~txid ~chain ~egress =
   match Hashtbl.find_opt v.v_reserved txid with
@@ -573,7 +578,7 @@ let vnf_on_commit t (v : vnf_ctl) ~txid ~chain ~egress =
           let insts =
             match Hashtbl.find_opt v.v_instances site with Some l -> l | None -> []
           in
-          Bus.publish t.bus ~site:v.v_home
+          Bus.publish_retained t.bus ~site:v.v_home
             ~topic:(instances_topic ~chain ~egress ~vnf:v.v_id ~site)
             (Instance_info
                { vnf = v.v_id; site; instances = List.map (fun i -> (i, 1.0)) insts })
@@ -710,12 +715,6 @@ let rec gsb_start_2pc ?comp t (cs : chain_state) routes ~exclude =
     logf t (fun m ->
         m "gsb: 2pc prepare tx%d for chain %d (%d routes)" txid cs.c_id
           (List.length routes));
-    (* Collect votes (and decision acks) for this transaction. *)
-    Bus.subscribe t.bus ~site:t.gsb_site ~topic:(votes_topic ~txid) (function
-      | Vote { txid; participant; accept; rejected } ->
-        gsb_on_vote t ~txid ~participant ~accept ~rejected
-      | Decision_ack { txid; participant } -> gsb_on_ack t ~txid ~participant
-      | _ -> ());
     (* The Prepare carries only the compiled diff: the O(churn) payload. *)
     let send_prepares names =
       List.iter
@@ -773,7 +772,7 @@ and gsb_on_vote t ~txid ~participant ~accept ~rejected =
               (Route_delta
                  { chain = cs.c_id; egress_label = egress; spec = cs.c_spec;
                    delta = tx.tx_delta });
-            Bus.publish t.bus ~site:t.gsb_site ~topic:(route_topic ~chain:cs.c_id)
+            Bus.publish_retained t.bus ~site:t.gsb_site ~topic:(route_topic ~chain:cs.c_id)
               (Route_update
                  { chain = cs.c_id; egress_label = egress; spec = cs.c_spec;
                    routes = tx.tx_routes; version = tx.tx_delta.cd_target })
@@ -892,7 +891,6 @@ let create ?(seed = 11) ?(install_latency = 0.09) ?(egress_rate = 20_000.)
       queued_routes = Hashtbl.create 8;
       gsb_down = false;
       attachments = Hashtbl.create 8;
-      pending_commits = Hashtbl.create 8;
       next_chain = 0;
       next_txid = 0;
       route_policy = None;
@@ -912,14 +910,22 @@ let create ?(seed = 11) ?(install_latency = 0.09) ?(egress_rate = 20_000.)
   Bus.subscribe bus ~site:gsb_site ~topic:chain_request_topic (function
     | Chain_request { chain; spec } -> gsb_on_request t ~chain ~spec
     | _ -> ());
+  (* It hears every transaction's votes and decision acks on one reply
+     topic: each reply names its txid, so nothing is subscribed per
+     transaction. *)
+  Bus.subscribe bus ~site:gsb_site ~topic:votes_topic (function
+    | Vote { txid; participant; accept; rejected } ->
+      gsb_on_vote t ~txid ~participant ~accept ~rejected
+    | Decision_ack { txid; participant } -> gsb_on_ack t ~txid ~participant
+    | _ -> ());
   (* The edge controller trivially accepts two-phase-commit prepares (and,
      being stateless, re-votes identically on retransmitted ones). *)
   Bus.subscribe bus ~site:gsb_site ~topic:(participant_topic ~name:"edge") (function
     | Prepare { txid; _ } ->
-      Bus.publish bus ~site:gsb_site ~topic:(votes_topic ~txid)
+      Bus.publish bus ~site:gsb_site ~topic:votes_topic
         (Vote { txid; participant = "edge"; accept = true; rejected = [] })
     | Commit { txid } | Abort { txid } ->
-      Bus.publish bus ~site:gsb_site ~topic:(votes_topic ~txid)
+      Bus.publish bus ~site:gsb_site ~topic:votes_topic
         (Decision_ack { txid; participant = "edge" })
     | _ -> ());
   (* Every Local Switchboard watches for committed deltas. *)
@@ -947,6 +953,7 @@ let deploy_vnf t ~vnf ~site ~capacity ~instances =
           v_committed = Hashtbl.create 4;
           v_reserved = Hashtbl.create 4;
           v_voted = Hashtbl.create 4;
+          v_decided = Hashtbl.create 4;
           v_applied = Hashtbl.create 4;
           v_instances = Hashtbl.create 4;
         }
@@ -954,29 +961,40 @@ let deploy_vnf t ~vnf ~site ~capacity ~instances =
       Hashtbl.replace t.vnf_ctls vnf v;
       let name = Printf.sprintf "vnf_%d" vnf in
       let ack txid =
-        Bus.publish t.bus ~site:v.v_home ~topic:(votes_topic ~txid)
+        Bus.publish t.bus ~site:v.v_home ~topic:votes_topic
           (Decision_ack { txid; participant = name })
       in
+      let last_decided chain =
+        Option.value (Hashtbl.find_opt v.v_decided chain) ~default:(-1)
+      in
+      (* The decision frees the transaction's vote memory; a duplicate
+         decision finds none and is only acked again. *)
+      let decided txid =
+        match Hashtbl.find_opt v.v_voted txid with
+        | None -> None
+        | Some (chain, _) ->
+          Hashtbl.remove v.v_voted txid;
+          if txid > last_decided chain then Hashtbl.replace v.v_decided chain txid;
+          Some chain
+      in
       Bus.subscribe t.bus ~site ~topic:(participant_topic ~name) (function
-        | Prepare { txid; chain; delta; spec } -> (
+        | Prepare { txid; chain; delta; _ } -> (
           match Hashtbl.find_opt v.v_voted txid with
-          | Some vote ->
+          | Some (_, vote) ->
             (* Retransmitted Prepare: the original Vote was lost. Answer
                from memory — recomputing could double-reserve. *)
-            Bus.publish t.bus ~site:v.v_home ~topic:(votes_topic ~txid) vote
-          | None ->
-            vnf_on_prepare t v ~txid ~chain ~delta;
-            (* Remember the chain/egress for the commit. *)
-            Hashtbl.replace t.pending_commits txid (chain, spec))
+            Bus.publish t.bus ~site:v.v_home ~topic:votes_topic vote
+          | None -> if txid > last_decided chain then vnf_on_prepare t v ~txid ~chain ~delta)
         | Commit { txid } ->
-          (match Hashtbl.find_opt t.pending_commits txid with
-          | Some (chain, _spec) -> (
+          (match decided txid with
+          | Some chain -> (
             match Hashtbl.find_opt t.chains chain with
             | Some cs -> vnf_on_commit t v ~txid ~chain ~egress:(Option.get cs.c_egress)
             | None -> ())
           | None -> ());
           ack txid
         | Abort { txid } ->
+          ignore (decided txid);
           Hashtbl.remove v.v_reserved txid;
           ack txid
         | _ -> ());
@@ -1094,7 +1112,7 @@ let add_edge_site t ~chain ~site =
                      m "site %d: edge instance's fwrdr dataplane configured" site);
                  (* Step 4: announce this edge's forwarder so the first
                     VNF's forwarder can configure the return side. *)
-                 Bus.publish t.bus ~site
+                 Bus.publish_retained t.bus ~site
                    ~topic:(edge_forwarders_topic ~chain ~egress)
                    (Forwarder_info
                       {
@@ -1161,7 +1179,7 @@ let scale_vnf_instances t ~vnf ~site ~count =
     (fun chain ->
       match Hashtbl.find_opt t.chains chain with
       | Some { c_egress = Some egress; _ } ->
-        Bus.publish t.bus ~site:v.v_home
+        Bus.publish_retained t.bus ~site:v.v_home
           ~topic:(instances_topic ~chain ~egress ~vnf ~site)
           (Instance_info { vnf; site; instances = List.map (fun i -> (i, 1.0)) all })
       | Some _ | None -> ())
@@ -1329,8 +1347,10 @@ let set_gsb_down t down =
     t.gsb_down <- true;
     (* The coordinator's volatile state dies with it: in-flight
        transactions, un-acked decisions and the compiled diagrams are
-       lost. Participants keep their reservations (harmless: admission
-       counts only committed load); the recovered coordinator re-drives
+       lost. Participants keep their reservations and vote memory for the
+       lost transactions (harmless: admission counts only committed load;
+       bounded by the transactions the crash interrupted); the recovered
+       coordinator re-drives
        every persisted chain with fresh transactions — full deltas from
        an empty snapshot, resetting every site's version lineage — via
        [recover_from_store]. *)
@@ -1356,6 +1376,11 @@ let chain_spec t ~chain =
 
 let txns_in_flight t =
   Hashtbl.length t.txns + Hashtbl.length t.decisions + Hashtbl.length t.queued_routes
+
+let participant_txn_state t =
+  Hashtbl.fold
+    (fun _ v acc -> acc + Hashtbl.length v.v_voted + Hashtbl.length v.v_reserved)
+    t.vnf_ctls 0
 
 let site_installed_rules t ~site =
   Hashtbl.fold (fun k v acc -> (k, v) :: acc) t.locals.(site).ls_installed []

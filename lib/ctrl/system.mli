@@ -293,6 +293,12 @@ val txns_in_flight : t -> int
     plus decisions awaiting participant acks. Zero once the system has
     quiesced — the precondition for the 2PC-atomicity invariant check. *)
 
+val participant_txn_state : t -> int
+(** Per-transaction entries the VNF controllers hold: vote memory plus
+    reservations, summed over controllers. Both are freed when the
+    transaction's decision arrives, so this is zero once every decision
+    has landed and never grows with the number of transactions run. *)
+
 val site_installed_rules :
   t -> site:int -> ((int * int * int) * (Sb_dataplane.Plane.endpoint * float) list) list
 (** The rules a site's Local Switchboard has installed (or scheduled for

@@ -75,7 +75,7 @@ type msg =
     }
 
 let chain_request_topic = "/gsb/chain_requests"
-let votes_topic ~txid = Printf.sprintf "/gsb/votes/%d" txid
+let votes_topic = "/gsb/votes/replies"
 let participant_topic ~name = Printf.sprintf "/ctl/%s" name
 let route_topic ~chain = Printf.sprintf "/chain/%d/route" chain
 

@@ -151,12 +151,16 @@ type msg =
           (** topology link ids this site observes down, sorted *)
     }
       (** One site's flooded link-state/load advertisement for the
-          decentralized anycast control arm ([Sb_adapt.Anycast]): retained
-          on {!advert_topic} so every peer site keeps the latest view, aged
-          out by epoch staleness at the receiver. *)
+          decentralized anycast control arm ([Sb_adapt.Anycast]): flooded
+          on {!advert_topic} to every peer site, which keeps the latest
+          view, aged out by epoch staleness at the receiver. *)
 
 val chain_request_topic : string
-val votes_topic : txid:int -> string
+
+val votes_topic : string
+(** The coordinator's one reply topic: every participant's votes and
+    decision acks, each naming its txid. *)
+
 val participant_topic : name:string -> string
 val route_topic : chain:int -> string
 

@@ -169,7 +169,10 @@ let fmap_clear m =
 (* Parallel arrays per cell: key hash ([hk]: 0 empty, 1 tombstone), packed
    next/prev endpoints, the connection hash, the next cell of the same
    connection ([flink], -1 ends the chain) for O(stages) teardown, and the
-   logical clock of the cell's last activity ([fage]) for idle expiry. *)
+   logical clock of the cell's last activity ([fage]) for idle expiry.
+   [fdisp.(d)] counts the live cells [d] slots past their home slot, so
+   the longest probe is read off its top non-empty bucket instead of a
+   scan of every slot. *)
 type ftab = {
   mutable fcap : int;
   mutable fmask : int;
@@ -181,6 +184,7 @@ type ftab = {
   mutable ffh : int array;
   mutable flink : int array;
   mutable fage : int array;
+  mutable fdisp : int array;
   heads : fmap;
 }
 
@@ -197,6 +201,7 @@ let ftab_create () =
     ffh = Array.make cap 0;
     flink = Array.make cap (-1);
     fage = Array.make cap 0;
+    fdisp = Array.make 16 0;
     heads = fmap_create cap;
   }
 
@@ -219,6 +224,13 @@ let ftab_place tab h fh nxt prv =
     i := (!i + 1) land tab.fmask
   done;
   if tab.hk.(!i) = 1 then tab.ftomb <- tab.ftomb - 1;
+  let d = (!i - (h land tab.fmask)) land tab.fmask in
+  if d >= Array.length tab.fdisp then begin
+    let b = Array.make (max (d + 1) (2 * Array.length tab.fdisp)) 0 in
+    Array.blit tab.fdisp 0 b 0 (Array.length tab.fdisp);
+    tab.fdisp <- b
+  end;
+  tab.fdisp.(d) <- tab.fdisp.(d) + 1;
   tab.hk.(!i) <- h;
   tab.fnx.(!i) <- nxt;
   tab.fpv.(!i) <- prv;
@@ -241,6 +253,7 @@ let ftab_grow tab =
   tab.ffh <- Array.make cap 0;
   tab.flink <- Array.make cap (-1);
   tab.fage <- Array.make cap 0;
+  Array.fill tab.fdisp 0 (Array.length tab.fdisp) 0;
   fmap_clear tab.heads;
   Array.iteri
     (fun i h ->
@@ -274,7 +287,10 @@ let ftab_remove_flow tab fh =
   if !s >= 0 then begin
     while !s >= 0 do
       let nxt = tab.flink.(!s) in
-      if tab.hk.(!s) >= 2 then begin
+      let h = tab.hk.(!s) in
+      if h >= 2 then begin
+        let d = (!s - (h land tab.fmask)) land tab.fmask in
+        tab.fdisp.(d) <- tab.fdisp.(d) - 1;
         tab.hk.(!s) <- 1;
         tab.ftomb <- tab.ftomb + 1;
         tab.fn <- tab.fn - 1
@@ -286,6 +302,7 @@ let ftab_remove_flow tab fh =
 
 let ftab_clear tab =
   Array.fill tab.hk 0 tab.fcap 0;
+  Array.fill tab.fdisp 0 (Array.length tab.fdisp) 0;
   tab.fn <- 0;
   tab.ftomb <- 0;
   fmap_clear tab.heads
@@ -975,20 +992,29 @@ let rx_rule t ~forwarder ~chain_label ~egress_label ~stage =
 
 let flow_table_size t ~forwarder = t.f_tab.(get_fd t forwarder).fn
 
+(* Longest probe sequence any lookup can take: max displacement of a
+   live entry from its home slot, plus one for the hit itself. *)
 let ftab_stats tab =
-  (* Longest probe sequence any lookup can take: max displacement of a
-     live entry from its home slot, plus one for the hit itself. *)
-  let maxp = ref 0 in
+  let d = ref (Array.length tab.fdisp - 1) in
+  while !d >= 0 && tab.fdisp.(!d) = 0 do
+    decr d
+  done;
+  (tab.fn, tab.fcap, !d + 1)
+
+let ftab_scan_stats tab =
+  let maxp = ref 0 and live = ref 0 in
   for i = 0 to tab.fcap - 1 do
     let h = tab.hk.(i) in
     if h >= 2 then begin
+      incr live;
       let d = (i - (h land tab.fmask)) land tab.fmask in
       if d + 1 > !maxp then maxp := d + 1
     end
   done;
-  (tab.fn, tab.fcap, !maxp)
+  (!live, tab.fcap, !maxp)
 
 let flow_table_stats t ~forwarder = ftab_stats t.f_tab.(get_fd t forwarder)
+let flow_table_scan_stats t ~forwarder = ftab_scan_stats t.f_tab.(get_fd t forwarder)
 
 let mutations t = t.journal
 

@@ -206,8 +206,13 @@ val flow_table_stats : t -> forwarder:int -> int * int * int
 (** [(count, capacity, max_probe)] of one forwarder's connection table:
     live entries, open-addressing capacity (load factor is
     [count /. capacity]) and the longest probe sequence a lookup can take.
-    An O(capacity) scan — telemetry and occupancy benches, not the packet
-    path. *)
+    Kept incrementally: each table counts its live entries by distance
+    from their home slot, so this reads that short histogram, not the
+    table. *)
+
+val flow_table_scan_stats : t -> forwarder:int -> int * int * int
+(** {!flow_table_stats} recomputed by scanning every slot, O(capacity):
+    the reference the incremental figure is tested against. *)
 
 val mutations : t -> int
 (** Number of journal entries applied to the packed arrays so far (rule

@@ -152,13 +152,11 @@ let account_publish (t : _ t) ~topic size =
     r := (n + 1, b + size)
   | None -> Hashtbl.replace t.topic_acc key (ref (1, size))
 
-let topic_subs t topic =
-  match Hashtbl.find_opt t.subs topic with
-  | Some r -> r
-  | None ->
-    let r = ref [] in
-    Hashtbl.replace t.subs topic r;
-    r
+(* [subs] holds only topics with at least one subscription, so publishing
+   to a topic nobody listens to (a chain's route feed) costs no table
+   entry. *)
+let subscriptions t topic =
+  match Hashtbl.find_opt t.subs topic with Some r -> !r | None -> []
 
 (* Serialize one message onto [src]'s egress; [deliver] fires after queueing
    plus the wide-area delay. Buffer overflow drops the message. [msg] is the
@@ -220,8 +218,9 @@ let deliver_one (t : _ t) ~publish_time ~count_latency (s : 'a sub) payload =
 let subscribe (t : _ t) ~site ~topic callback =
   let now = Sb_sim.Engine.now t.eng in
   let s = { s_site = site; s_time = now; s_callback = callback } in
-  let r = topic_subs t topic in
-  r := s :: !r;
+  (match Hashtbl.find_opt t.subs topic with
+  | Some r -> r := s :: !r
+  | None -> Hashtbl.replace t.subs topic (ref [ s ]));
   (* Replay the retained payload once the filter reaches the publisher's
      proxy and the payload ships back. *)
   match Hashtbl.find_opt t.retained topic with
@@ -240,12 +239,11 @@ let publish (t : _ t) ~site ~topic payload =
   let msg = t.next_msg in
   let size = match t.size_fn with None -> 0 | Some f -> f payload in
   if t.size_fn <> None then account_publish t ~topic size;
-  Hashtbl.replace t.retained topic (payload, site);
-  let all_subs = !(topic_subs t topic) in
+  let all_subs = subscriptions t topic in
   let subs = List.filter (visible t ~publisher:site ~time:now) all_subs in
   (* A subscriber whose filter is still in flight towards this proxy gets
-     the payload as a retained replay once the filter lands (the proxy
-     replays the topic's last value), so publishes in that window are not
+     the payload once the filter lands (the proxy holds it for the pending
+     filter, retained topic or not), so publishes in that window are not
      lost. *)
   List.iter
     (fun s ->
@@ -313,6 +311,10 @@ let publish (t : _ t) ~site ~topic payload =
         else send_wan t ~topic ~msg ~size ~src:site ~dst fan_out)
       sites
 
+let publish_retained t ~site ~topic payload =
+  Hashtbl.replace t.retained topic (payload, site);
+  publish t ~site ~topic payload
+
 let stats (t : _ t) =
   let kept = min t.lat_count reservoir_capacity in
   (* Newest first while the reservoir is not full, matching the historical
@@ -356,4 +358,7 @@ let reset_stats (t : _ t) =
   t.size_count <- 0
 
 let subscriber_sites t ~topic =
-  List.sort_uniq compare (List.map (fun s -> s.s_site) !(topic_subs t topic))
+  List.sort_uniq compare (List.map (fun s -> s.s_site) (subscriptions t topic))
+
+let subscribed_topics t = Hashtbl.length t.subs
+let retained_topics t = Hashtbl.length t.retained

@@ -14,11 +14,14 @@
     drops — the mechanism behind Fig. 9's order-of-magnitude latency gap
     and 57 % throughput gap.
 
-    Topics are strings (e.g. ["/c1/e3/vnf_O/site_B_forwarders"]). Topics
-    are {e retained}: the proxy keeps the last payload and replays it to
-    late subscribers after their filter install completes, which is what
-    lets Switchboard "replicate control-plane state in a fine-grained
-    manner only at the required sites". *)
+    Topics are strings (e.g. ["/c1/e3/vnf_O/site_B_forwarders"]). A
+    state topic is {e retained} ({!publish_retained}): the proxy keeps the
+    last payload and replays it to late subscribers after their filter
+    install completes, which is what lets Switchboard "replicate
+    control-plane state in a fine-grained manner only at the required
+    sites". Event topics (requests, votes, telemetry) use {!publish} and
+    keep nothing, so the bus holds state only for topics a late
+    subscriber reads and for topics with live subscriptions. *)
 
 type 'a t
 
@@ -102,7 +105,12 @@ val subscribe : 'a t -> site:int -> topic:string -> ('a -> unit) -> unit
 
 val publish : 'a t -> site:int -> topic:string -> 'a -> unit
 (** Publish from a site; deliveries are scheduled on the engine. Local
-    subscribers receive the message after a negligible in-site delay. *)
+    subscribers receive the message after a negligible in-site delay. The
+    payload is not retained: a later subscriber never sees it. *)
+
+val publish_retained : 'a t -> site:int -> topic:string -> 'a -> unit
+(** {!publish}, and keep the payload as the topic's retained value,
+    replayed to every later subscriber (the last value only). *)
 
 val stats : 'a t -> stats
 val reset_stats : 'a t -> unit
@@ -122,3 +130,9 @@ val clear_wan_hook : 'a t -> unit
 
 val subscriber_sites : 'a t -> topic:string -> int list
 (** Sites holding at least one installed subscription for a topic. *)
+
+val subscribed_topics : 'a t -> int
+(** Topics with at least one subscription. *)
+
+val retained_topics : 'a t -> int
+(** Topics holding a retained payload. *)

@@ -65,8 +65,6 @@ let create topo paths =
     nn = Topology.num_nodes topo;
   }
 
-let copy t = { t with loads = Array.copy t.loads; cost_now = Array.copy t.cost_now }
-
 let add_background t link_id volume =
   t.loads.(link_id) <- t.loads.(link_id) +. volume;
   update_cost t link_id

@@ -11,8 +11,6 @@ type t
 val create : Topology.t -> Paths.t -> t
 (** All link loads start at 0. *)
 
-val copy : t -> t
-
 val reset : t -> unit
 (** Zero every link load (and the maintained per-link costs), restoring the
     state a fresh {!create} would produce. Background traffic added with

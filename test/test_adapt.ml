@@ -633,6 +633,95 @@ let test_placement_sweep_deterministic () =
     (show (Scenario.placement_sweep placement_cfg))
     (show (Scenario.placement_sweep placement_cfg))
 
+(* ------------------------------- long run ------------------------------- *)
+
+(* What a live arm's system holds at the end of a run, once the engine has
+   quiesced: bus subscription topics, retained topics, per-transaction
+   control state (the coordinator's open transactions and un-acked
+   decisions, the VNF controllers' vote memory and reservations) and live
+   flow-table entries over every site. *)
+type held = { subscribed : int; retained : int; txn_state : int; flows : int }
+
+let long_run_held arm ~epochs =
+  let m = small_model ~seed:3 ~chains:8 () in
+  let sc =
+    {
+      Loop.sc_model = m;
+      sc_epochs = epochs;
+      sc_epoch_len = 1.0;
+      sc_demand = Loop.diurnal_demand ~period:10 ~seed:5 (Model.num_chains m);
+      sc_failures = [];
+    }
+  in
+  let sys = ref None in
+  let r = Loop.run ~on_system:(fun s -> sys := Some s) sc arm in
+  let sys = Option.get !sys in
+  let bus = System.bus sys in
+  let flows = ref 0 in
+  for site = 0 to Model.num_sites m - 1 do
+    let count, _, _ = System.site_flow_table_stats sys ~site in
+    flows := !flows + count
+  done;
+  ( sc,
+    r,
+    {
+      subscribed = Sb_msgbus.Bus.subscribed_topics bus;
+      retained = Sb_msgbus.Bus.retained_topics bus;
+      txn_state = System.txns_in_flight sys + System.participant_txn_state sys;
+      flows = !flows;
+    } )
+
+(* A live arm's state is bounded by its live work, not by how long it has
+   run or how many transactions it has committed. Bus topics are bounded
+   by chains x sites: per chain its route and edge-forwarder topics and
+   an instances and a forwarders topic per (VNF of the chain, site), plus
+   one request, reply and broadcast topic, a topic per VNF controller and
+   the edge, and a telemetry or advert topic per site. Transaction state
+   is zero once the engine has quiesced. Flow entries are bounded by the
+   probes of the last three epochs (connections idle for two epochs age
+   out), each connection holding at most a sender and a receiver entry
+   per stage. *)
+let test_long_run_state_bounded arm () =
+  let check_at epochs =
+    let sc, r, h = long_run_held arm ~epochs in
+    let m = sc.Loop.sc_model in
+    let n = Model.num_chains m and sites = Model.num_sites m in
+    let topics = ref (4 + Model.num_vnfs m + (2 * sites)) and max_stages = ref 0 in
+    for c = 0 to n - 1 do
+      topics := !topics + 2 + (2 * Model.chain_length m c * sites);
+      max_stages := max !max_stages (Model.chain_length m c + 1)
+    done;
+    let per_unit = float_of_int Loop.default_params.Loop.pkts_per_unit in
+    let probes = ref 0 in
+    for e = 0 to epochs - 1 do
+      let p = ref 0 in
+      for c = 0 to n - 1 do
+        let units =
+          sc.Loop.sc_demand ~epoch:e ~chain:c *. Model.fwd_traffic m ~chain:c ~stage:0
+        in
+        p := !p + max 1 (int_of_float (Float.round (per_unit *. units)))
+      done;
+      probes := max !probes !p
+    done;
+    let at what = Printf.sprintf "%s after %d epochs" what epochs in
+    let within what bound v =
+      if v > bound then Alcotest.failf "%s: %d > bound %d" (at what) v bound
+    in
+    Alcotest.(check bool) (at "routes moved") true (r.Loop.total_rerouted > 0);
+    within "subscription topics" !topics h.subscribed;
+    within "retained topics" !topics h.retained;
+    Alcotest.(check int) (at "transaction state") 0 h.txn_state;
+    within "flow entries" (3 * !probes * 2 * !max_stages) h.flows;
+    h
+  in
+  let at50 = check_at 50 and at200 = check_at 200 in
+  (* Epochs 50 and 200 sit at the same demand phase and the flow window
+     has the same length at both, so the entries stay put instead of
+     growing fourfold with the run. *)
+  if 10 * at200.flows > 11 * at50.flows then
+    Alcotest.failf "flow entries grew from %d to %d between epochs 50 and 200" at50.flows
+      at200.flows
+
 let () =
   Alcotest.run "sb_adapt"
     [
@@ -673,6 +762,13 @@ let () =
             test_on_system_rejected_on_offline_arms;
           Alcotest.test_case "closed loop frozen under full GSB outage" `Quick
             test_closed_loop_frozen_under_full_gsb_outage;
+        ] );
+      ( "long run",
+        [
+          Alcotest.test_case "closed loop: state bounded by live work" `Quick
+            (test_long_run_state_bounded Loop.Closed_loop);
+          Alcotest.test_case "anycast arm: state bounded by live work" `Quick
+            (test_long_run_state_bounded Loop.Anycast_dist);
         ] );
       ( "placement",
         [

@@ -392,6 +392,39 @@ let test_gsb_dies_between_prepare_and_commit () =
       (Shard.vnfs_in_trace (S.shard sys) trace)
   | Error e -> Alcotest.failf "probe after takeover failed: %a" Shard.pp_error e
 
+(* A decision frees the transaction's state at every VNF controller, and a
+   copy of the Prepare that turns up after the decision (a wide-area
+   retransmission overtaken by the commit) must neither reserve again nor
+   vote: the controller remembers the chain's last decided txid. *)
+let test_stale_prepare_never_reserves () =
+  let sys = build_two_sites () in
+  let bus = S.bus sys in
+  let prepares = ref [] and replies = ref 0 in
+  let ctl = T.participant_topic ~name:"vnf_7" in
+  Sb_msgbus.Bus.subscribe bus ~site:0 ~topic:ctl (function
+    | T.Prepare _ as m -> prepares := m :: !prepares
+    | _ -> ());
+  Sb_msgbus.Bus.subscribe bus ~site:0 ~topic:T.votes_topic (fun _ -> incr replies);
+  let chain = S.request_chain sys (nat_spec "c") in
+  E.run (S.engine sys);
+  Alcotest.(check int) "chain committed" 1 (List.length (S.chain_routes sys ~chain));
+  Alcotest.(check int) "one Prepare seen" 1 (List.length !prepares);
+  Alcotest.(check int) "decided: nothing held" 0
+    (S.txns_in_flight sys + S.participant_txn_state sys);
+  let load = S.vnf_committed_load sys ~vnf:7 ~site:0 and replies_before = !replies in
+  List.iter (fun m -> Sb_msgbus.Bus.publish bus ~site:0 ~topic:ctl m) !prepares;
+  E.run (S.engine sys);
+  Alcotest.(check int) "stale Prepare reserves nothing" 0 (S.participant_txn_state sys);
+  Alcotest.(check int) "stale Prepare gets no vote" replies_before !replies;
+  Alcotest.(check (float 1e-9)) "committed load unchanged" load
+    (S.vnf_committed_load sys ~vnf:7 ~site:0);
+  (* A later transaction for the chain still prepares and commits. *)
+  S.update_routes sys ~chain [ { T.element_sites = [| 0; 1; 1 |]; weight = 1.0 } ];
+  E.run (S.engine sys);
+  Alcotest.(check (float 1e-9)) "update committed at site 1" 5.
+    (S.vnf_committed_load sys ~vnf:7 ~site:1);
+  Alcotest.(check int) "and freed" 0 (S.txns_in_flight sys + S.participant_txn_state sys)
+
 (* ----------------------- edge-site addition ------------------------ *)
 
 let build_three_sites () =
@@ -614,6 +647,8 @@ let () =
           Alcotest.test_case "reject triggers recompute" `Quick
             test_2pc_reject_triggers_recompute;
           Alcotest.test_case "atomicity" `Quick test_2pc_atomicity_no_partial_commit;
+          Alcotest.test_case "stale Prepare never reserves" `Quick
+            test_stale_prepare_never_reserves;
           Alcotest.test_case "chains share capacity" `Quick test_two_chains_share_capacity;
         ] );
       ( "dynamic_routes",

@@ -1126,6 +1126,54 @@ let test_dpdk_rejects_bad_args () =
 
 module Legacy = Sb_dataplane.Legacy_fabric
 
+(* qcheck: the flow tables' incremental (count, capacity, max_probe) — a
+   histogram of live cells by distance from their home slot — equals a
+   scan of every slot after any mix of first packets (inserts that grow
+   the tables), repeat and reverse packets, teardown, idle expiry,
+   forwarder failure (which clears a table) and flow transfer. *)
+let prop_flow_table_stats_incremental =
+  QCheck.Test.make ~name:"flow-table stats: histogram = full scan" ~count:30
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let tb = build_testbed ~seed () in
+      let rng = Sb_util.Rng.create (seed + 5) in
+      let pool = Array.init 64 (fun _ -> Packet.random_tuple rng) in
+      let pick () =
+        if Sb_util.Rng.int rng 3 = 0 then pool.(Sb_util.Rng.int rng (Array.length pool))
+        else Packet.random_tuple rng
+      in
+      let same () =
+        List.for_all
+          (fun forwarder ->
+            Plane.flow_table_stats tb.fab ~forwarder
+            = Plane.flow_table_scan_stats tb.fab ~forwarder)
+          [ tb.fa; tb.fb ]
+      in
+      let ok = ref (same ()) and clock = ref 0 in
+      for _ = 1 to 400 do
+        (match Sb_util.Rng.int rng 20 with
+        | 0 | 1 | 2 | 3 | 4 | 5 | 6 | 7 | 8 | 9 ->
+          ignore
+            (Plane.send_forward tb.fab ~ingress:tb.ein ~chain_label ~egress_label (pick ()))
+        | 10 | 11 ->
+          ignore
+            (Plane.send_reverse tb.fab ~egress:tb.eout ~chain_label ~egress_label
+               pool.(Sb_util.Rng.int rng (Array.length pool)))
+        | 12 | 13 | 14 -> Plane.end_flow tb.fab pool.(Sb_util.Rng.int rng (Array.length pool))
+        | 15 | 16 ->
+          incr clock;
+          Plane.set_clock tb.fab !clock;
+          ignore (Plane.expire_flows tb.fab ~idle_before:(!clock - 1))
+        | 17 ->
+          ignore (Plane.transfer_flows tb.fab ~from_instance:tb.g1 ~to_instance:tb.g2)
+        | 18 ->
+          Plane.fail_forwarder tb.fab tb.fb;
+          Plane.revive_forwarder tb.fab tb.fb
+        | _ -> ignore (Plane.transfer_flows tb.fab ~from_instance:tb.o2 ~to_instance:tb.o1));
+        if not (same ()) then ok := false
+      done;
+      !ok)
+
 (* qcheck (the packed-dataplane oracle): identical random traffic, weight
    churn, rule reinstalls, flow teardown, OpenNF transfers and
    fail/revive/reattach faults driven through the seed implementation
@@ -1813,6 +1861,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_safety_random_chains;
           QCheck_alcotest.to_alcotest prop_counter_window_semantics;
+          QCheck_alcotest.to_alcotest prop_flow_table_stats_incremental;
           QCheck_alcotest.to_alcotest prop_dht_no_loss_under_churn;
           QCheck_alcotest.to_alcotest prop_balancer_hierarchical_convergence;
           QCheck_alcotest.to_alcotest prop_packed_equivalence_local;

@@ -123,7 +123,8 @@ let test_retained_replay () =
   let eng, bus = make_bus () in
   let got = ref [] in
   (* Publish first, subscribe later: retained value is replayed. *)
-  ignore (Engine.schedule eng ~delay:1. (fun () -> Bus.publish bus ~site:0 ~topic:"/t" 7));
+  ignore
+    (Engine.schedule eng ~delay:1. (fun () -> Bus.publish_retained bus ~site:0 ~topic:"/t" 7));
   ignore
     (Engine.schedule eng ~delay:2. (fun () ->
          Bus.subscribe bus ~site:1 ~topic:"/t" (fun v -> got := v :: !got)));
@@ -133,13 +134,45 @@ let test_retained_replay () =
 let test_retained_keeps_last_value () =
   let eng, bus = make_bus () in
   let got = ref [] in
-  ignore (Engine.schedule eng ~delay:1. (fun () -> Bus.publish bus ~site:0 ~topic:"/t" 1));
-  ignore (Engine.schedule eng ~delay:2. (fun () -> Bus.publish bus ~site:0 ~topic:"/t" 2));
+  ignore
+    (Engine.schedule eng ~delay:1. (fun () -> Bus.publish_retained bus ~site:0 ~topic:"/t" 1));
+  ignore
+    (Engine.schedule eng ~delay:2. (fun () -> Bus.publish_retained bus ~site:0 ~topic:"/t" 2));
   ignore
     (Engine.schedule eng ~delay:3. (fun () ->
          Bus.subscribe bus ~site:1 ~topic:"/t" (fun v -> got := v :: !got)));
   Engine.run eng;
   Alcotest.(check (list int)) "last value only" [ 2 ] !got
+
+let test_plain_publish_not_retained () =
+  (* An event topic keeps nothing: a later subscriber sees only later
+     publishes, and the bus holds no payload for it. *)
+  let eng, bus = make_bus () in
+  let got = ref [] in
+  ignore (Engine.schedule eng ~delay:1. (fun () -> Bus.publish bus ~site:0 ~topic:"/t" 1));
+  ignore
+    (Engine.schedule eng ~delay:2. (fun () ->
+         Bus.subscribe bus ~site:1 ~topic:"/t" (fun v -> got := v :: !got)));
+  ignore (Engine.schedule eng ~delay:3. (fun () -> Bus.publish bus ~site:0 ~topic:"/t" 2));
+  Engine.run eng;
+  Alcotest.(check (list int)) "only the later publish" [ 2 ] !got;
+  Alcotest.(check int) "nothing retained" 0 (Bus.retained_topics bus)
+
+let test_topic_tables_hold_live_state () =
+  (* Publishing to a topic nobody subscribes to, or asking who subscribes
+     to it, makes no subscription entry; only a retained publish keeps a
+     payload. *)
+  let eng, bus = make_bus () in
+  Bus.subscribe bus ~site:1 ~topic:"/t" (fun _ -> ());
+  ignore
+    (Engine.schedule eng ~delay:1. (fun () ->
+         Bus.publish bus ~site:0 ~topic:"/event" 1;
+         Bus.publish_retained bus ~site:0 ~topic:"/state" 2));
+  Engine.run eng;
+  Alcotest.(check (list int)) "no subscriber sites" []
+    (Bus.subscriber_sites bus ~topic:"/event");
+  Alcotest.(check int) "one subscribed topic" 1 (Bus.subscribed_topics bus);
+  Alcotest.(check int) "one retained topic" 1 (Bus.retained_topics bus)
 
 let test_publish_during_filter_flight () =
   (* Subscribe at t=1 from a remote site; publish at t=1.01 (< filter
@@ -399,6 +432,10 @@ let () =
             test_full_mesh_copy_per_subscriber;
           Alcotest.test_case "retained replay" `Quick test_retained_replay;
           Alcotest.test_case "retained keeps last" `Quick test_retained_keeps_last_value;
+          Alcotest.test_case "plain publish not retained" `Quick
+            test_plain_publish_not_retained;
+          Alcotest.test_case "topic tables hold live state" `Quick
+            test_topic_tables_hold_live_state;
           Alcotest.test_case "publish during filter flight" `Quick
             test_publish_during_filter_flight;
           Alcotest.test_case "buffer overflow drops" `Quick test_drops_on_buffer_overflow;

@@ -443,15 +443,6 @@ let test_load_self_flow_noop () =
   Load.add_flow load ~src:1 ~dst:1 ~volume:100.;
   check_float "self flow carries nothing" 0. (Load.mlu load)
 
-let test_load_copy_independent () =
-  let t = line3 () in
-  let p = Paths.compute t in
-  let load = Load.create t p in
-  Load.add_flow load ~src:0 ~dst:1 ~volume:1.;
-  let copy = Load.copy load in
-  Load.add_flow copy ~src:0 ~dst:1 ~volume:1.;
-  Alcotest.(check bool) "copy diverges" true (Load.mlu copy > Load.mlu load)
-
 let test_path_network_cost_positive () =
   let t = line3 () in
   let p = Paths.compute t in
@@ -564,7 +555,6 @@ let () =
           Alcotest.test_case "mlu" `Quick test_load_mlu;
           Alcotest.test_case "background" `Quick test_load_background;
           Alcotest.test_case "self flow noop" `Quick test_load_self_flow_noop;
-          Alcotest.test_case "copy independent" `Quick test_load_copy_independent;
           Alcotest.test_case "network cost convex" `Quick test_path_network_cost_positive;
           Alcotest.test_case "path max utilization" `Quick test_path_max_utilization;
         ] );
