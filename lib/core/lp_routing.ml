@@ -4,6 +4,7 @@ type result = {
   routing : Routing.t;
   objective_value : float;
   site_extra : float array option;
+  lp : Sb_lp.Lp.solution;
 }
 
 module Lp = Sb_lp.Lp
@@ -259,4 +260,4 @@ let solve ?cloud_budget m objective =
     let site_extra =
       Option.map (fun a -> Array.map (fun v -> Lp.value sol v) a) site_extra_vars
     in
-    Ok { routing; objective_value; site_extra }
+    Ok { routing; objective_value; site_extra; lp = sol }

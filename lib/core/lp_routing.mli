@@ -24,6 +24,10 @@ type result = {
   site_extra : float array option;
       (** Per-site capacity additions, present only when
           [?cloud_budget] was given. *)
+  lp : Sb_lp.Lp.solution;
+      (** The simplex's own solution, whose counters
+          ({!Sb_lp.Lp.iterations}, {!Sb_lp.Lp.refactorizations}) describe
+          the solve's work independently of the machine. *)
 }
 
 val solve : ?cloud_budget:float -> Model.t -> objective -> (result, string) Result.t

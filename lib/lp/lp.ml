@@ -110,12 +110,19 @@ let clone_with_bounds p extra =
     tightened = extra @ p.tightened;
   }
 
-type solution = { values : float array; obj_value : float }
+type solution = {
+  values : float array;
+  obj_value : float;
+  iterations : int;
+  refactorizations : int;
+}
 
 type outcome = Optimal of solution | Infeasible | Unbounded
 
 let value sol v = sol.values.(v.id)
 let objective_value sol = sol.obj_value
+let iterations sol = sol.iterations
+let refactorizations sol = sol.refactorizations
 
 let pp_outcome ppf = function
   | Optimal s -> Format.fprintf ppf "optimal (objective %.6g)" s.obj_value
@@ -138,13 +145,22 @@ let pp_outcome ppf = function
 
 let eps = 1e-9 (* pivot magnitude, ratio-tie and reduced-cost tolerance *)
 let feas_tol = 1e-9 (* relative primal feasibility tolerance *)
-let drop_tol = 1e-14 (* eta entries below this are dropped *)
+let drop_tol = 1e-14 (* factor and pivot-row entries below this are dropped *)
 let max_updates = 512 (* basis updates between refactorizations, at most *)
+let update_tol = 1e-8 (* relative error of an updated diagonal that forces a refactorization *)
 
-(* A file of column etas. Eta t is the identity with column [row.(t)]
+(* Unchecked array access, only in the inner loops of the triangular
+   solves, the pivot row and pricing and in the sparse-vector helpers they
+   call: their indices come from the factor's own index arrays, the
+   matrix's CSR/CSC arrays or a loop bound that is an array's length. *)
+external ( .!() ) : 'a array -> int -> 'a = "%array_unsafe_get"
+external ( .!()<- ) : 'a array -> int -> 'a -> unit = "%array_unsafe_set"
+
+(* A file of etas. Column eta t is the identity with column [row.(t)]
    replaced by a vector whose pivot entry is [pivot.(t)] and whose
    off-diagonal entries are [idx]/[value] over [start.(t)] ..
-   [start.(t+1) - 1]. *)
+   [start.(t+1) - 1]; a row eta (see [apply_row]) reads the same arrays
+   as a row. *)
 type etas = {
   mutable count : int;
   mutable row : int array;
@@ -197,13 +213,13 @@ let eta_add e i v =
 let eta_close e = e.count <- e.count + 1
 
 (* w <- E_k^-T w *)
-let apply_t e k w =
-  let p = e.row.(k) in
-  let s = ref w.(p) in
-  for t = e.start.(k) to e.start.(k + 1) - 1 do
-    s := !s -. (e.value.(t) *. w.(e.idx.(t)))
+let[@inline] apply_t e k w =
+  let p = e.row.!(k) in
+  let s = ref w.!(p) in
+  for t = e.start.!(k) to e.start.!(k + 1) - 1 do
+    s := !s -. (e.value.!(t) *. w.!(e.idx.!(t)))
   done;
-  w.(p) <- !s /. e.pivot.(k)
+  w.!(p) <- !s /. e.pivot.!(k)
 
 (* A dense vector that also lists the indices it may be nonzero at, so a
    sparse FTRAN result is scanned and cleared in time proportional to its
@@ -212,16 +228,16 @@ type sparse_vec = { v : float array; pat : int array; mutable len : int; seen : 
 
 let sv_create m = { v = Array.make m 0.; pat = Array.make m 0; len = 0; seen = Array.make m false }
 
-let sv_touch sv i =
-  if not sv.seen.(i) then begin
-    sv.seen.(i) <- true;
-    sv.pat.(sv.len) <- i;
+let[@inline] sv_touch sv i =
+  if not sv.seen.!(i) then begin
+    sv.seen.!(i) <- true;
+    sv.pat.!(sv.len) <- i;
     sv.len <- sv.len + 1
   end
 
-let sv_set sv i x =
+let[@inline] sv_set sv i x =
   sv_touch sv i;
-  sv.v.(i) <- x
+  sv.v.!(i) <- x
 
 let sv_clear sv =
   for k = 0 to sv.len - 1 do
@@ -232,58 +248,289 @@ let sv_clear sv =
   sv.len <- 0
 
 (* sv <- E_k^-1 sv, extending the pattern with each fill-in *)
-let apply_sparse e k sv =
+let[@inline] apply_sparse e k sv =
   let w = sv.v in
-  let p = e.row.(k) in
-  let xp = w.(p) in
+  let p = e.row.!(k) in
+  let xp = w.!(p) in
   if xp <> 0. then begin
-    let xp = xp /. e.pivot.(k) in
-    w.(p) <- xp;
-    for t = e.start.(k) to e.start.(k + 1) - 1 do
-      let i = e.idx.(t) in
+    let xp = xp /. e.pivot.!(k) in
+    w.!(p) <- xp;
+    for t = e.start.!(k) to e.start.!(k + 1) - 1 do
+      let i = e.idx.!(t) in
       sv_touch sv i;
-      w.(i) <- w.(i) -. (e.value.(t) *. xp)
+      w.!(i) <- w.!(i) -. (e.value.!(t) *. xp)
     done
   end
 
-(* Append the eta of column [sv] pivoting on row [r]. *)
-let push_eta e r sv =
-  eta_open e r sv.v.(r);
-  for k = 0 to sv.len - 1 do
-    let i = sv.pat.(k) in
-    if i <> r && Float.abs sv.v.(i) > drop_tol then eta_add e i sv.v.(i)
+(* w <- R_k w for the row eta k of a file of row etas: R_k is the
+   identity with row [row.(k)] replaced by e_r - sum_j m_j e_j, the
+   multipliers m_j being [idx]/[value]; [pivot] is unused. *)
+let[@inline] apply_row e k sv =
+  let w = sv.v in
+  let s = ref 0. in
+  for t = e.start.!(k) to e.start.!(k + 1) - 1 do
+    s := !s +. (e.value.!(t) *. w.!(e.idx.!(t)))
   done;
-  eta_close e
+  if !s <> 0. then begin
+    let r = e.row.!(k) in
+    sv_touch sv r;
+    w.!(r) <- w.!(r) -. !s
+  end
 
-(* The basis is B = L U E_1 ... E_t: a sparse LU factorization, kept as
-   two eta files, followed by the product-form updates E_i of the pivots
-   since. L's etas are unit row operations in elimination order; U's are
-   its columns, so back substitution applies them in reverse. *)
-type factor = { l : etas; u : etas; upd : etas }
+(* w <- R_k^T w *)
+let[@inline] apply_row_t e k w =
+  let x = w.!(e.row.!(k)) in
+  if x <> 0. then
+    for t = e.start.!(k) to e.start.!(k + 1) - 1 do
+      let j = e.idx.!(t) in
+      w.!(j) <- w.!(j) -. (e.value.!(t) *. x)
+    done
 
-(* sv <- B^-1 sv *)
-let ftran f sv =
+(* U of the factorization, by columns in pivot order. Slot k holds the
+   column of basis position [spos.(k)]: its diagonal [diag.(k)] sits in
+   row [spos.(k)], its other entries [idx]/[value] over [beg.(k)] ..
+   [fin.(k) - 1] in rows of earlier slots. A position with no slot has a
+   unit column (a basic logical since the last refactorization) and
+   counts as pivoted before every slot, so U is upper triangular in slot
+   order. An update retires a slot ([spos] = -1) and appends one, so the
+   entry arena only grows until the next refactorization. [rows.(i)]
+   lists, over [rlen.(i)], the slots that have an entry in row i, and
+   possibly some that have retired since. *)
+type upper = {
+  mutable slots : int;
+  mutable spos : int array;
+  mutable diag : float array;
+  mutable beg : int array;
+  mutable fin : int array;
+  mutable idx : int array;
+  mutable value : float array;
+  mutable used : int; (* arena entries, live or not *)
+  mutable nnz : int; (* live off-diagonal entries *)
+  slot : int array; (* m: slot of each position, -1 for a unit column *)
+  rows : int array array; (* m *)
+  rlen : int array; (* m *)
+  mutable queued : bool array; (* per slot, for [upper_solve_t] *)
+}
+
+let upper_create m =
+  let cap = m + 16 in
+  {
+    slots = 0;
+    spos = Array.make cap 0;
+    diag = Array.make cap 0.;
+    beg = Array.make cap 0;
+    fin = Array.make cap 0;
+    idx = Array.make (8 * cap) 0;
+    value = Array.make (8 * cap) 0.;
+    used = 0;
+    nnz = 0;
+    slot = Array.make m (-1);
+    rows = Array.make m [||];
+    rlen = Array.make m 0;
+    queued = Array.make cap false;
+  }
+
+let upper_clear u =
+  u.slots <- 0;
+  u.used <- 0;
+  u.nnz <- 0;
+  Array.fill u.slot 0 (Array.length u.slot) (-1);
+  Array.fill u.rlen 0 (Array.length u.rlen) 0
+
+(* Append a slot for position [p] with diagonal [d]; entries follow via
+   [upper_add], and [upper_close] commits it. *)
+let upper_open u p d =
+  let k = u.slots in
+  if k >= Array.length u.spos then begin
+    u.spos <- ensure u.spos (k + 1) 0;
+    u.diag <- ensure u.diag (k + 1) 0.;
+    u.beg <- ensure u.beg (k + 1) 0;
+    u.fin <- ensure u.fin (k + 1) 0;
+    u.queued <- ensure u.queued (k + 1) false
+  end;
+  u.spos.(k) <- p;
+  u.diag.(k) <- d;
+  u.beg.(k) <- u.used;
+  u.fin.(k) <- u.used;
+  u.slot.(p) <- k
+
+let upper_add u i v =
+  let t = u.used and k = u.slots in
+  if t >= Array.length u.idx then begin
+    u.idx <- ensure u.idx (t + 1) 0;
+    u.value <- ensure u.value (t + 1) 0.
+  end;
+  u.idx.(t) <- i;
+  u.value.(t) <- v;
+  u.used <- t + 1;
+  u.fin.(k) <- t + 1;
+  u.nnz <- u.nnz + 1;
+  let l = u.rlen.(i) in
+  if l >= Array.length u.rows.(i) then u.rows.(i) <- ensure u.rows.(i) (max 4 (l + 1)) 0;
+  u.rows.(i).(l) <- k;
+  u.rlen.(i) <- l + 1
+
+let upper_close u = u.slots <- u.slots + 1
+
+(* sv <- U^-1 sv, by back substitution in reverse slot order *)
+let upper_solve u sv =
+  let w = sv.v in
+  for k = u.slots - 1 downto 0 do
+    let p = u.spos.!(k) in
+    if p >= 0 && w.!(p) <> 0. then begin
+      let xp = w.!(p) /. u.diag.!(k) in
+      w.!(p) <- xp;
+      for t = u.beg.!(k) to u.fin.!(k) - 1 do
+        let i = u.idx.!(t) in
+        sv_touch sv i;
+        w.!(i) <- w.!(i) -. (u.value.!(t) *. xp)
+      done
+    end
+  done
+
+(* sv <- U^-T sv for a sparse [sv]: only the slots reachable from its
+   pattern through [rows] are solved, in one sweep up the slot order. A
+   solved position queues the slots of its row, all of them later. *)
+let upper_solve_t u sv =
+  let w = sv.v in
+  let first = ref u.slots and pending = ref 0 in
+  let queue k =
+    if u.spos.(k) >= 0 && not u.queued.(k) then begin
+      u.queued.(k) <- true;
+      incr pending;
+      if k < !first then first := k
+    end
+  in
+  let queue_row i =
+    let ks = u.rows.(i) in
+    for t = 0 to u.rlen.(i) - 1 do
+      queue ks.(t)
+    done
+  in
+  for t = 0 to sv.len - 1 do
+    let p = sv.pat.(t) in
+    let k = u.slot.(p) in
+    (* a unit column's value is final *)
+    if k >= 0 then queue k else if w.(p) <> 0. then queue_row p
+  done;
+  let k = ref !first in
+  while !pending > 0 do
+    let kk = !k in
+    if u.queued.(kk) then begin
+      u.queued.(kk) <- false;
+      decr pending;
+      let p = u.spos.(kk) in
+      let s = ref w.(p) in
+      for t = u.beg.(kk) to u.fin.(kk) - 1 do
+        s := !s -. (u.value.!(t) *. w.!(u.idx.!(t)))
+      done;
+      let y = !s /. u.diag.(kk) in
+      if y <> 0. then begin
+        sv_set sv p y;
+        queue_row p
+      end
+      else w.(p) <- 0.
+    end;
+    k := kk + 1
+  done
+
+(* The basis is B = L R_1^-1 ... R_t^-1 U: a sparse LU factorization
+   whose U has since taken one Forrest-Tomlin update per basis change,
+   each leaving a row eta R_i. L's etas are unit row operations in
+   elimination order. [spike] holds the spike of the entering column,
+   for [update]; [urow] holds the U^-T stage of a BTRAN, which for the
+   leaving row [update] reads too. *)
+type factor = { l : etas; r : etas; u : upper; spike : sparse_vec; urow : sparse_vec }
+
+(* sv <- R_t ... R_1 L^-1 sv: the spike of a column *)
+let ftran_lower f sv =
   for k = 0 to f.l.count - 1 do
     apply_sparse f.l k sv
   done;
-  for k = f.u.count - 1 downto 0 do
-    apply_sparse f.u k sv
-  done;
-  for k = 0 to f.upd.count - 1 do
-    apply_sparse f.upd k sv
+  for k = 0 to f.r.count - 1 do
+    apply_row f.r k sv
   done
 
-(* w <- B^-T w *)
-let btran f w =
-  for k = f.upd.count - 1 downto 0 do
-    apply_t f.upd k w
+(* sv <- B^-1 sv *)
+let ftran f sv =
+  ftran_lower f sv;
+  upper_solve f.u sv
+
+(* w <- L^-T R_1^T ... R_t^T sv: BTRAN after U, from [sv] = U^-T e into
+   the dense [w] *)
+let btran_lower f sv w =
+  Array.fill w 0 (Array.length w) 0.;
+  for k = 0 to sv.len - 1 do
+    let i = sv.pat.(k) in
+    w.(i) <- sv.v.(i)
   done;
-  for k = 0 to f.u.count - 1 do
-    apply_t f.u k w
+  for k = f.r.count - 1 downto 0 do
+    apply_row_t f.r k w
   done;
   for k = f.l.count - 1 downto 0 do
     apply_t f.l k w
   done
+
+(* Forrest-Tomlin update: the column of position [r] becomes [f.spike],
+   the spike of the entering column, whose FTRAN gave [alpha_r] in row r;
+   [f.urow] holds y = U^-T e_r. The old column's slot retires and row r's
+   entries leave U's later columns. The row eta that eliminates them has
+   multipliers m_p = -u_rr y_p, u_rr being the old diagonal, since
+   U^T y = e_r gives sum_i m_i u_ip = u_rp on every later column p. The
+   spike through that eta becomes the last slot, on row r. By the
+   determinant, its diagonal is alpha_r u_rr; [false] when it is not to
+   working accuracy, or is tiny next to the spike, and a refactorization
+   is due. *)
+let update f r alpha_r =
+  let u = f.u and spk = f.spike and y = f.urow in
+  let k0 = u.slot.(r) in
+  let old_diag = if k0 >= 0 then u.diag.(k0) else 1. in
+  let ks = u.rows.(r) in
+  for t = 0 to u.rlen.(r) - 1 do
+    let k = ks.(t) in
+    if u.spos.(k) >= 0 then begin
+      let e = ref u.beg.(k) in
+      while !e < u.fin.(k) && u.idx.(!e) <> r do
+        incr e
+      done;
+      if !e < u.fin.(k) then begin
+        let last = u.fin.(k) - 1 in
+        u.idx.(!e) <- u.idx.(last);
+        u.value.(!e) <- u.value.(last);
+        u.fin.(k) <- last;
+        u.nnz <- u.nnz - 1
+      end
+    end
+  done;
+  u.rlen.(r) <- 0;
+  let d = ref spk.v.(r) and entries = ref 0 in
+  eta_open f.r r 1.;
+  for t = 0 to y.len - 1 do
+    let p = y.pat.(t) in
+    let mp = -.old_diag *. y.v.(p) in
+    if p <> r && Float.abs mp > drop_tol then begin
+      d := !d -. (mp *. spk.v.(p));
+      eta_add f.r p mp;
+      incr entries
+    end
+  done;
+  (* an empty row eta is the identity: left open, the next one reuses it *)
+  if !entries > 0 then eta_close f.r;
+  if k0 >= 0 then begin
+    u.nnz <- u.nnz - (u.fin.(k0) - u.beg.(k0));
+    u.spos.(k0) <- -1
+  end;
+  let d = !d and big = ref 0. in
+  upper_open u r d;
+  for t = 0 to spk.len - 1 do
+    let i = spk.pat.(t) in
+    let v = spk.v.(i) in
+    big := Float.max !big (Float.abs v);
+    if i <> r && Float.abs v > drop_tol then upper_add u i v
+  done;
+  upper_close u;
+  Float.abs d > eps *. !big
+  && Float.abs (d -. (alpha_r *. old_diag)) <= update_tol *. Float.abs d
 
 type state = {
   n : int; (* structurals *)
@@ -305,13 +552,21 @@ type state = {
   f : factor;
   col : sparse_vec; (* m: an FTRANed column *)
   rho : float array; (* m: BTRAN work vector *)
+  stat : int array; (* m: [infeasibility] of each basic position's value *)
+  mutable infeasible : int; (* basic positions with [stat] <> 0 *)
 }
 
-let infeasibility st j =
+let[@inline] infeasibility st j =
   let v = st.x.(j) and lo = st.lo.(j) and up = st.up.(j) in
   if v < lo -. (feas_tol *. (1. +. Float.abs lo)) then -1
   else if v > up +. (feas_tol *. (1. +. Float.abs up)) then 1
   else 0
+
+(* Re-read basic position [r]'s bound status after its value changed. *)
+let[@inline] restat st r =
+  let s = infeasibility st st.head.(r) in
+  st.infeasible <- st.infeasible + Bool.to_int (s <> 0) - Bool.to_int (st.stat.(r) <> 0);
+  st.stat.(r) <- s
 
 (* Recompute basic values from the nonbasic ones: B x_B = -N x_N. *)
 let compute_primal st =
@@ -336,16 +591,19 @@ let compute_primal st =
 (* Reduced costs d_j = c_j - y^T a_j with y = B^-T c_B, for the cost
    [c_basic r] on each basic position and [c_nonbasic j] elsewhere. *)
 let compute_duals st c_basic c_nonbasic =
-  let y = st.rho in
+  let y = st.rho and cb = st.f.urow in
   for r = 0 to st.m - 1 do
-    y.(r) <- c_basic r
+    let c = c_basic r in
+    if c <> 0. then sv_set cb r c
   done;
-  btran st.f y;
+  upper_solve_t st.f.u cb;
+  btran_lower st.f cb y;
+  sv_clear cb;
   for j = 0 to st.n - 1 do
     if st.pos.(j) < 0 then begin
       let s = ref (c_nonbasic j) in
       for t = st.cstart.(j) to st.cstart.(j + 1) - 1 do
-        s := !s -. (y.(st.cidx.(t)) *. st.cval.(t))
+        s := !s -. (y.!(st.cidx.!(t)) *. st.cval.!(t))
       done;
       st.d.(j) <- !s
     end
@@ -376,8 +634,8 @@ let markowitz_threshold = 0.1
 let refactor st =
   let n = st.n and m = st.m and f = st.f in
   etas_clear f.l;
-  etas_clear f.u;
-  etas_clear f.upd;
+  etas_clear f.r;
+  upper_clear f.u;
   let logical_row = Array.make m false and done_ = Array.make m false in
   let cols = ref [] in
   for r = m - 1 downto 0 do
@@ -450,6 +708,15 @@ let refactor st =
   for i = m - 1 downto 0 do
     if (not done_.(i)) && rlen.(i) = 1 then singles := i :: !singles
   done;
+  (* a column with nothing usable left leaves its rows too *)
+  let discard c =
+    retire c;
+    for t = 0 to clen.(c) - 1 do
+      let i = crow.(c).(t) in
+      rlen.(i) <- rlen.(i) - 1;
+      if rlen.(i) = 1 then singles := i :: !singles
+    done
+  in
   (* position of row i in column c *)
   let find c i =
     let t = ref 0 in
@@ -561,7 +828,7 @@ let refactor st =
       let c = bhead.(1) in
       if Float.abs cv.(c).(0) > eps then Some (crow.(c).(0), c)
       else begin
-        retire c;
+        discard c;
         next_pivot ()
       end
     end
@@ -590,7 +857,7 @@ let refactor st =
         for t = 0 to clen.(!c) - 1 do
           big := Float.max !big (Float.abs cv.(!c).(t))
         done;
-        if !big <= eps then retire !c
+        if !big <= eps then discard !c
         else begin
           incr examined;
           for t = 0 to clen.(!c) - 1 do
@@ -666,11 +933,11 @@ let refactor st =
       uv.(fill.(s)) <- v;
       fill.(s) <- fill.(s) + 1);
   for s = 0 to steps - 1 do
-    eta_open f.u piv_row.(s) piv_val.(s);
+    upper_open f.u piv_row.(s) piv_val.(s);
     for t = cnt.(s) to cnt.(s + 1) - 1 do
-      eta_add f.u urow.(t) uv.(t)
+      upper_add f.u urow.(t) uv.(t)
     done;
-    eta_close f.u
+    upper_close f.u
   done
 
 (* Crash: swap each basic fixed logical (an equality row) for a
@@ -720,12 +987,12 @@ let crash st =
    upper bound and decrease when above its lower bound. *)
 let choose_entering st ~bland =
   let eligible j dj =
-    st.pos.(j) < 0 && if dj < 0. then st.x.(j) < st.up.(j) else st.x.(j) > st.lo.(j)
+    st.pos.!(j) < 0 && if dj < 0. then st.x.!(j) < st.up.!(j) else st.x.!(j) > st.lo.!(j)
   in
   let best = ref (-1) and best_v = ref eps in
   (try
      for j = 0 to st.n + st.m - 1 do
-       let dj = st.d.(j) in
+       let dj = st.d.!(j) in
        if Float.abs dj > !best_v && eligible j dj then begin
          best := j;
          if bland then raise Exit;
@@ -832,9 +1099,18 @@ let solve p =
         d = Array.make (n + m) 0.;
         head = Array.init m (fun i -> n + i);
         pos = Array.init (n + m) (fun j -> if j >= n then j - n else -1);
-        f = { l = etas_create m; u = etas_create m; upd = etas_create m };
+        f =
+          {
+            l = etas_create m;
+            r = etas_create m;
+            u = upper_create m;
+            spike = sv_create m;
+            urow = sv_create m;
+          };
         col = sv_create m;
         rho = Array.make m 0.;
+        stat = Array.make m 0;
+        infeasible = 0;
       }
     in
     crash st;
@@ -842,37 +1118,43 @@ let solve p =
        twice the rows plus the columns, logicals included *)
     let bland_after = 2 * (m + (n + m)) in
     let streak = ref 0 in
-    let updates = ref 0 in
+    let updates = ref 0 and iterations = ref 0 and refactorizations = ref 0 in
     (* [fresh]: x_B and (in phase 2) d were recomputed in full since
        the last pivot, so a verdict taken now is not an artefact of drift. *)
     let fresh = ref true in
     let d_valid = ref false in
-    (* Refactor once the update etas hold twice as many nonzeros as the
-       fresh factors plus one per row, by when FTRAN and BTRAN cost about
-       three times what they would after a refactorization, or after
-       [max_updates] pivots. Of the factors tried on SB-LP (1, 1.5, 2 and
-       3 at 12 chains; 1, 2 and 4 at 50 and 200), 2 was the fastest. *)
-    let base_nnz = ref 0 in
-    let refresh () =
-      refactor st;
-      base_nnz := etas_nnz st.f.l + etas_nnz st.f.u;
+    let recompute () =
       compute_primal st;
-      updates := 0;
+      st.infeasible <- 0;
+      for r = 0 to m - 1 do
+        st.stat.(r) <- 0;
+        restat st r
+      done;
       d_valid := false;
       fresh := true
+    in
+    (* Refactor when an update fails its stability test, once U and the
+       row etas hold twice as many nonzeros as the fresh factors plus one
+       per row, or after [max_updates] pivots. *)
+    let base_nnz = ref 0 and unstable = ref false in
+    let refresh () =
+      incr refactorizations;
+      refactor st;
+      base_nnz := etas_nnz st.f.l + st.f.u.nnz;
+      updates := 0;
+      unstable := false;
+      recompute ()
     in
     refresh ();
     let result = ref None in
     while !result = None do
       if
-        !updates >= max_updates || etas_nnz st.f.upd >= 2 * (!base_nnz + m)
+        !unstable || !updates >= max_updates
+        || st.f.u.nnz + etas_nnz st.f.r >= 2 * (!base_nnz + m)
       then refresh ();
-      let phase1 = ref false in
-      for r = 0 to m - 1 do
-        if infeasibility st st.head.(r) <> 0 then phase1 := true
-      done;
-      if !phase1 then begin
-        compute_duals st (fun r -> float_of_int (infeasibility st st.head.(r))) (fun _ -> 0.);
+      let phase1 = st.infeasible > 0 in
+      if phase1 then begin
+        compute_duals st (fun r -> float_of_int st.stat.(r)) (fun _ -> 0.);
         d_valid := false
       end
       else if not !d_valid then begin
@@ -881,25 +1163,38 @@ let solve p =
       end;
       let q = choose_entering st ~bland:(!streak > bland_after) in
       if q < 0 then begin
-        if not !fresh then refresh ()
-        else if !phase1 then result := Some Infeasible
+        if not !fresh then recompute ()
+        else if phase1 then result := Some Infeasible
         else begin
           let obj = ref 0. in
           for j = 0 to n - 1 do
             if cost.(j) <> 0. then obj := !obj +. (cost.(j) *. x.(j))
           done;
-          result := Some (Optimal { values = Array.sub x 0 n; obj_value = sign *. !obj })
+          result :=
+            Some
+              (Optimal
+                 {
+                   values = Array.sub x 0 n;
+                   obj_value = sign *. !obj;
+                   iterations = !iterations;
+                   refactorizations = !refactorizations;
+                 })
         end
       end
       else begin
         let dir = if st.d.(q) < 0. then 1. else -1. in
-        let col = st.col in
+        let col = st.col and spike = st.f.spike in
         if q < n then
           for t = cstart.(q) to cstart.(q + 1) - 1 do
             sv_set col cidx.(t) cval.(t)
           done
         else sv_set col (q - n) 1.;
-        ftran st.f col;
+        ftran_lower st.f col;
+        for k = 0 to col.len - 1 do
+          let i = col.pat.(k) in
+          sv_set spike i col.v.(i)
+        done;
+        upper_solve st.f.u col;
         let alpha = col.v in
         (* Ratio test. As x_q moves by [dir * t], basic r moves by
            [-dir * alpha_r * t]. A feasible basic blocks at the bound it
@@ -912,7 +1207,7 @@ let solve p =
           if Float.abs a > eps then begin
             let b = st.head.(r) in
             let v = x.(b) and delta = -.dir *. a in
-            let status = infeasibility st b in
+            let status = st.stat.(r) in
             let lim =
               if delta < 0. then (if status > 0 then up.(b) else if status < 0 then neg_infinity else lo.(b))
               else if status < 0 then lo.(b)
@@ -937,14 +1232,15 @@ let solve p =
           if not !fresh then begin
             (* compute_primal works in [col] too *)
             sv_clear col;
-            refresh ()
+            recompute ()
           end
-          else if !phase1 then failwith "Lp.solve: numerical failure in phase 1"
+          else if phase1 then failwith "Lp.solve: numerical failure in phase 1"
           else result := Some Unbounded
         end
         else begin
           let flip = room <= !best in
           let t = if flip then room else !best in
+          incr iterations;
           if t < eps then incr streak else streak := 0;
           let s = dir *. t in
           if t > 0. then
@@ -962,35 +1258,47 @@ let solve p =
             let b = st.head.(r) in
             x.(q) <- x.(q) +. s;
             x.(b) <- !target;
+            (* y = U^-T e_r, for the update and the pivot row *)
+            let y = st.f.urow in
+            sv_set y r 1.;
+            upper_solve_t st.f.u y;
             if !d_valid then begin
-              (* d_j -= theta * (B^-1 a_j)_r, the pivot row through rho = B^-T e_r *)
-              let theta = st.d.(q) /. alpha.(r) in
-              let rho = st.rho in
-              Array.fill rho 0 m 0.;
-              rho.(r) <- 1.;
-              btran st.f rho;
+              (* d_j -= theta * (B^-1 a_j)_r, the pivot row through
+                 rho = B^-T e_r, whose entries at rounding level
+                 ([drop_tol]) are taken as zero *)
+              let d = st.d and rho = st.rho in
+              let theta = d.(q) /. alpha.(r) in
+              btran_lower st.f y rho;
               for i = 0 to m - 1 do
-                let f = theta *. rho.(i) in
-                if f <> 0. then begin
-                  for t = rstart.(i) to rstart.(i + 1) - 1 do
-                    let j = ridx.(t) in
-                    st.d.(j) <- st.d.(j) -. (f *. rval.(t))
+                let ri = rho.!(i) in
+                if Float.abs ri > drop_tol then begin
+                  let f = theta *. ri in
+                  for t = rstart.!(i) to rstart.!(i + 1) - 1 do
+                    let j = ridx.!(t) in
+                    d.!(j) <- d.!(j) -. (f *. rval.!(t))
                   done;
-                  st.d.(n + i) <- st.d.(n + i) -. f
+                  d.(n + i) <- d.(n + i) -. f
                 end
               done;
-              st.d.(q) <- 0.;
-              st.d.(b) <- -.theta
+              d.(q) <- 0.;
+              d.(b) <- -.theta
             end;
-            push_eta st.f.upd r col;
+            if not (update st.f r alpha.(r)) then unstable := true;
             st.head.(r) <- q;
             st.pos.(q) <- r;
             st.pos.(b) <- -1;
             incr updates
           end;
+          (* every basic value that moved is in the column's pattern,
+             the pivot row included *)
+          for k = 0 to col.len - 1 do
+            restat st col.pat.(k)
+          done;
           fresh := false
         end;
-        sv_clear col
+        sv_clear col;
+        sv_clear spike;
+        sv_clear st.f.urow
       end
     done;
     Option.get !result

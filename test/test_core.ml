@@ -534,20 +534,19 @@ let test_lp_background_reduces_throughput () =
 
 (* SB-LP at benchmark scale: the first epoch of the repository
    benchmark's te_lp workload (the 25-site backbone, 12 chains, scenario
-   seed 7, diurnal demand over 6 epochs; see benchmark/te.ml). The
-   objective golden was captured with a dense-tableau simplex; alpha is
-   unique, so any correct simplex reproduces it. *)
-let test_lp_benchmark_scale () =
+   seed 7, diurnal demand over 6 epochs; see benchmark/te.ml). *)
+let benchmark_epoch0 () =
   let module Sc = Sb_adapt.Scenario in
   let module W = Sb_net.Workload in
   let chains = 12 and epochs = 6 and seed = 7 in
   let model = Sc.backbone25 { Sc.default_config with seed; num_chains = chains } in
   let w = W.diurnal ~seed ~ticks:epochs ~keys:chains ~period:epochs () in
-  let m =
-    Model.with_chain_traffic_factors model
-      (Array.init chains (fun k -> W.demand w ~tick:0 ~key:k))
-  in
-  match Lpr.solve m Lpr.Max_throughput with
+  Model.with_chain_traffic_factors model (Array.init chains (fun k -> W.demand w ~tick:0 ~key:k))
+
+(* The objective golden was captured with a dense-tableau simplex; alpha
+   is unique, so any correct simplex reproduces it. *)
+let test_lp_benchmark_scale () =
+  match Lpr.solve (benchmark_epoch0 ()) Lpr.Max_throughput with
   | Error e -> Alcotest.fail e
   | Ok { routing; objective_value; _ } ->
     let golden = 3.4881870984274195 in
@@ -555,6 +554,25 @@ let test_lp_benchmark_scale () =
       (Float.abs (objective_value -. golden) <= 1e-9 *. golden);
     Alcotest.(check (float 1e-6)) "max_alpha of the routing = objective" objective_value
       (Routing.max_alpha routing)
+
+(* The simplex's machine-independent work on the same LP. The
+   product-form solver this replaced took 338 iterations and 10
+   refactorizations; the Forrest-Tomlin update keeps the iterations within
+   10 % of that and refactors at most three times. Which optimal vertex a
+   degenerate pivot sequence reaches, and in how many iterations, moves
+   with any change in rounding, so the iteration bound has slack. *)
+let test_lp_benchmark_work () =
+  match Lpr.solve (benchmark_epoch0 ()) Lpr.Max_throughput with
+  | Error e -> Alcotest.fail e
+  | Ok { lp; _ } ->
+    let iterations = Sb_lp.Lp.iterations lp and refactorizations = Sb_lp.Lp.refactorizations lp in
+    Alcotest.(check bool)
+      (Printf.sprintf "%d iterations <= 1.1 x 338" iterations)
+      true
+      (float_of_int iterations <= 1.1 *. 338.);
+    Alcotest.(check bool)
+      (Printf.sprintf "%d refactorizations <= 3" refactorizations)
+      true (refactorizations <= 3)
 
 (* --------------------------- Eval metrics -------------------------- *)
 
@@ -1387,6 +1405,7 @@ let () =
           Alcotest.test_case "background reduces throughput" `Quick
             test_lp_background_reduces_throughput;
           Alcotest.test_case "benchmark-scale objective" `Quick test_lp_benchmark_scale;
+          Alcotest.test_case "benchmark-scale work" `Quick test_lp_benchmark_work;
         ] );
       ( "eval",
         [

@@ -577,6 +577,105 @@ let prop_matches_vertex_enumeration =
         Float.abs (Lp.objective_value s -. best) <= 1e-7 *. Float.max 1. (Float.abs best)
       | _ -> false)
 
+(* Strong duality on LPs large enough to exercise the basis updates:
+   40-60 rows (Le, Ge and Eq) over 30-50 variables that are non-negative,
+   boxed, bounded above only or free. Over 100 seeds a solve took 38-97
+   iterations and 3-4 factorizations, so every case runs dozens of
+   Forrest-Tomlin updates and refactors after some. The primal is made feasible by
+   deriving each right-hand side from a point inside the bounds (with zero
+   slack on some inequalities, for degeneracy), and bounded by deriving
+   the costs from a dual-feasible point, c = A^T y + v - w. The dual is
+   then built explicitly,
+     max b^T y + l^T v - u^T w  s.t.  A^T y + v - w = c,
+   with y_i >= 0 on Ge rows, <= 0 on Le rows, free on Eq rows, and
+   v_j >= 0 (w_j >= 0) only for a finite lower (upper) bound, and both
+   are solved by [Lp.solve]: their optima must agree. *)
+let prop_strong_duality =
+  QCheck.Test.make ~name:"primal and explicit dual optima agree" ~count:100
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Sb_util.Rng.create seed in
+      let module R = Sb_util.Rng in
+      let coef () = Float.round (R.uniform_in rng (-30.) 30.) /. 10. in
+      let n = 30 + R.int rng 21 and m = 40 + R.int rng 21 in
+      let lb, ub =
+        Array.init n (fun _ ->
+            match R.int rng 4 with
+            | 0 -> (0., infinity)
+            | 1 ->
+              let l = coef () in
+              (l, l +. R.uniform_in rng 0. 4.)
+            | 2 -> (neg_infinity, coef ())
+            | _ -> (neg_infinity, infinity))
+        |> Array.split
+      in
+      let x0 =
+        Array.init n (fun j ->
+            match (Float.is_finite lb.(j), Float.is_finite ub.(j)) with
+            | true, true -> R.uniform_in rng lb.(j) ub.(j)
+            | true, false -> lb.(j) +. R.uniform_in rng 0. 2.
+            | false, true -> ub.(j) -. R.uniform_in rng 0. 2.
+            | false, false -> coef ())
+      in
+      let a = Array.init m (fun _ -> Array.init n (fun _ -> if R.int rng 4 = 0 then coef () else 0.)) in
+      let rel = Array.init m (fun _ -> match R.int rng 3 with 0 -> Lp.Le | 1 -> Lp.Ge | _ -> Lp.Eq) in
+      let rhs =
+        Array.init m (fun i ->
+            let ax = ref 0. in
+            Array.iteri (fun j aij -> ax := !ax +. (aij *. x0.(j))) a.(i);
+            let slack = if R.bool rng then 0. else R.uniform_in rng 0. 3. in
+            match rel.(i) with Lp.Le -> !ax +. slack | Lp.Ge -> !ax -. slack | Lp.Eq -> !ax)
+      in
+      let y0 =
+        Array.init m (fun i ->
+            let y = R.uniform_in rng 0. 2. in
+            match rel.(i) with Lp.Le -> -.y | Lp.Ge -> y | Lp.Eq -> y -. 1.)
+      in
+      let v0 = Array.init n (fun j -> if Float.is_finite lb.(j) then R.uniform_in rng 0. 1. else 0.) in
+      let w0 = Array.init n (fun j -> if Float.is_finite ub.(j) then R.uniform_in rng 0. 1. else 0.) in
+      let c =
+        Array.init n (fun j ->
+            let s = ref (v0.(j) -. w0.(j)) in
+            Array.iteri (fun i row -> s := !s +. (row.(j) *. y0.(i))) a;
+            !s)
+      in
+      let terms vars k = List.filter (fun (q, _) -> q <> 0.) (List.init (Array.length vars) (fun t -> (k t, vars.(t)))) in
+      let primal = Lp.create () in
+      let x = Array.init n (fun j -> Lp.add_var primal ~lb:lb.(j) ~ub:ub.(j) (Printf.sprintf "x%d" j)) in
+      Array.iteri (fun i row -> Lp.add_constraint primal (terms x (fun j -> row.(j))) rel.(i) rhs.(i)) a;
+      Lp.set_objective primal Lp.Minimize (terms x (fun j -> c.(j)));
+      let dual = Lp.create () in
+      let y =
+        Array.init m (fun i ->
+            let lb, ub =
+              match rel.(i) with
+              | Lp.Le -> (neg_infinity, 0.)
+              | Lp.Ge -> (0., infinity)
+              | Lp.Eq -> (neg_infinity, infinity)
+            in
+            Lp.add_var dual ~lb ~ub (Printf.sprintf "y%d" i))
+      in
+      let v = Array.map (fun l -> if Float.is_finite l then Some (Lp.add_var dual "v") else None) lb in
+      let w = Array.map (fun u -> if Float.is_finite u then Some (Lp.add_var dual "w") else None) ub in
+      let bound_terms j =
+        (match v.(j) with Some vj -> [ (1., vj, lb.(j)) ] | None -> [])
+        @ match w.(j) with Some wj -> [ (-1., wj, -.ub.(j)) ] | None -> []
+      in
+      for j = 0 to n - 1 do
+        Lp.add_constraint dual
+          (terms y (fun i -> a.(i).(j)) @ List.map (fun (q, var, _) -> (q, var)) (bound_terms j))
+          Lp.Eq c.(j)
+      done;
+      Lp.set_objective dual Lp.Maximize
+        (terms y (fun i -> rhs.(i))
+        @ List.concat (List.init n (fun j -> List.map (fun (_, var, k) -> (k, var)) (bound_terms j))));
+      match (Lp.solve primal, Lp.solve dual) with
+      | Lp.Optimal p, Lp.Optimal d ->
+        let po = Lp.objective_value p and dobj = Lp.objective_value d in
+        Float.abs (po -. dobj) <= 1e-7 *. Float.max 1. (Float.abs po)
+        || QCheck.Test.fail_reportf "primal %.12g, dual %.12g" po dobj
+      | _ -> QCheck.Test.fail_report "primal or dual not optimal")
+
 let prop_mip_at_most_lp =
   QCheck.Test.make ~name:"MIP optimum <= LP relaxation (maximize)" ~count:40
     QCheck.(int_range 0 1_000_000)
@@ -645,6 +744,7 @@ let () =
         [
           QCheck_alcotest.to_alcotest prop_optimal_is_feasible;
           QCheck_alcotest.to_alcotest prop_matches_vertex_enumeration;
+          QCheck_alcotest.to_alcotest prop_strong_duality;
           QCheck_alcotest.to_alcotest prop_mip_at_most_lp;
         ] );
     ]
