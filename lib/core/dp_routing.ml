@@ -428,13 +428,11 @@ let resolve ?(util_weight = default_util_weight) ?(max_routes = 8) ?(hysteresis 
   List.iter
     (fun c ->
       for stage = 0 to Model.num_stages m c - 1 do
-        List.iter
-          (fun (src, dst, frac) ->
+        Routing.iter_stage routing ~chain:c ~stage (fun src dst frac ->
             if frac > 1e-12 then
               Load_state.add_stage_flow state ~chain:c ~stage ~src ~dst ~frac:(-.frac))
-          (Routing.stage_flows routing ~chain:c ~stage);
-        Routing.set_stage routing ~chain:c ~stage []
       done;
+      Routing.clear_chain routing ~chain:c;
       route_chain scr ~prune:false state routing ~util_weight ~max_routes c)
     rerouted;
   (routing, { rerouted; considered = !considered; over_threshold = List.length ranked })

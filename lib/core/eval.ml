@@ -150,8 +150,8 @@ let latency ?seed ~load m scheme =
       let on_true_model = Routing.create scaled in
       for c = 0 to Model.num_chains scaled - 1 do
         for z = 0 to Model.num_stages scaled c - 1 do
-          Routing.set_stage on_true_model ~chain:c ~stage:z
-            (Routing.stage_flows routing ~chain:c ~stage:z)
+          Routing.iter_stage routing ~chain:c ~stage:z (fun src dst frac ->
+              Routing.append_flow on_true_model ~chain:c ~stage:z ~src ~dst ~frac)
         done
       done;
       Routing.mean_latency ~vnf_service_time:metric_service_time on_true_model

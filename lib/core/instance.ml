@@ -18,11 +18,10 @@ type t = {
   stage_vnf : int array;
   (* Per global stage: candidate destination nodes (N_cz^dst, Eq. 2) in
      Model.stage_dst_nodes order, as a CSR span and as the identical shared
-     list (for consumers that sort or pattern-match). *)
+     list (for consumers that take candidate lists, like Greedy.choose). *)
   dst_off : int array;
   dst_nodes : int array;
   dst_lists : int list array;
-  src_lists : int list array;
   (* node -> site id (-1 when the node hosts no site), and the site/VNF
      tables flattened to arrays. *)
   node_site : int array;
@@ -92,7 +91,6 @@ let compile m =
   let rev_base = Array.make (max 1 total) 0. in
   let stage_vnf = Array.make (max 1 total) (-1) in
   let dst_lists = Array.make (max 1 total) [] in
-  let src_lists = Array.make (max 1 total) [] in
   for c = 0 to nc - 1 do
     let base = stage_off.(c) in
     for z = 0 to stage_off.(c + 1) - base - 1 do
@@ -102,8 +100,7 @@ let compile m =
       (match Model.stage_dst_vnf m ~chain:c ~stage:z with
       | Some f -> stage_vnf.(gz) <- f
       | None -> ());
-      dst_lists.(gz) <- Model.stage_dst_nodes m ~chain:c ~stage:z;
-      src_lists.(gz) <- Model.stage_src_nodes m ~chain:c ~stage:z
+      dst_lists.(gz) <- Model.stage_dst_nodes m ~chain:c ~stage:z
     done
   done;
   let dst_off, dst_nodes = build_dst_csr ~total dst_lists in
@@ -128,7 +125,6 @@ let compile m =
     dst_off;
     dst_nodes;
     dst_lists;
-    src_lists;
     node_site;
     site_cap = Array.init ns (Model.site_capacity m);
     site_node = Array.init ns (Model.site_node m);
@@ -157,7 +153,6 @@ let rev_traffic t ~chain ~stage =
   t.rev_base.(t.stage_off.(chain) + stage) *. t.scale
 
 let stage_dst_nodes t ~chain ~stage = t.dst_lists.(t.stage_off.(chain) + stage)
-let stage_src_nodes t ~chain ~stage = t.src_lists.(t.stage_off.(chain) + stage)
 
 let stage_off t = t.stage_off
 let fwd_base t = t.fwd_base

@@ -49,9 +49,9 @@ val rev_traffic : t -> chain:int -> stage:int -> float
 
 val stage_dst_nodes : t -> chain:int -> stage:int -> int list
 (** Same nodes, same order as {!Model.stage_dst_nodes}, but the list is
-    built once at compile time and shared. *)
-
-val stage_src_nodes : t -> chain:int -> stage:int -> int list
+    built once at compile time and shared. A stage's sources are the
+    chain's ingresses at stage 0 and otherwise the previous stage's
+    destinations ({!Model.stage_src_nodes}). *)
 
 (** {2 Packed views}
 

@@ -43,7 +43,7 @@ let solve ?cloud_budget m objective =
               (fun n2 ->
                 if n1 = n2 || Sb_net.Paths.reachable paths n1 n2 then Some (n1, n2) else None)
               dsts)
-          (Instance.stage_src_nodes inst ~chain:c ~stage:z)
+          (Model.stage_src_nodes m ~chain:c ~stage:z)
         |> Array.of_list
     done
   done;
@@ -242,12 +242,11 @@ let solve ?cloud_budget m objective =
     for c = 0 to Model.num_chains m - 1 do
       for z = 0 to Model.num_stages m c - 1 do
         let g = stage_off.(c) + z in
-        let flows = ref [] in
-        for k = vstart.(g + 1) - 1 downto vstart.(g) do
+        for k = vstart.(g) to vstart.(g + 1) - 1 do
           let x = Lp.value sol xvar.(k) *. scale in
-          if x > 1e-9 then flows := (xsrc.(k), xdst.(k), x) :: !flows
-        done;
-        Routing.set_stage routing ~chain:c ~stage:z !flows
+          if x > 1e-9 then
+            Routing.append_flow routing ~chain:c ~stage:z ~src:xsrc.(k) ~dst:xdst.(k) ~frac:x
+        done
       done
     done;
     let objective_value =

@@ -1,8 +1,7 @@
-(* Packed flow storage: one store of parallel (src, dst, frac) arrays per
-   global stage, in insertion order — the same order the legacy per-stage
-   assoc lists kept, so every fold/commit below accumulates bit-identically
-   to the list-shaped code this replaces. The list API ({!stage_flows},
-   {!set_stage}) survives as a shim. *)
+(* Flow storage: one store of parallel (src, dst, frac) arrays per global
+   stage, in insertion order. Every fold, commit and decomposition below
+   walks a store in that order, so their float accumulations are fixed by
+   the order the flows were added in. *)
 
 type store = {
   mutable n : int;
@@ -52,14 +51,20 @@ let append st ~src ~dst ~frac =
   st.frac.(st.n) <- frac;
   st.n <- st.n + 1
 
-let set_stage t ~chain ~stage flows =
-  let st = store t ~chain ~stage in
-  st.n <- 0;
-  List.iter (fun (src, dst, frac) -> append st ~src ~dst ~frac) flows
+let append_flow t ~chain ~stage ~src ~dst ~frac =
+  append (store t ~chain ~stage) ~src ~dst ~frac
 
-let stage_flows t ~chain ~stage =
+let iter_stage t ~chain ~stage f =
   let st = store t ~chain ~stage in
-  List.init st.n (fun k -> (st.src.(k), st.dst.(k), st.frac.(k)))
+  for k = 0 to st.n - 1 do
+    f st.src.(k) st.dst.(k) st.frac.(k)
+  done
+
+let clear_chain t ~chain =
+  let off = Instance.stage_off t.inst in
+  for gz = off.(chain) to off.(chain + 1) - 1 do
+    t.stores.(gz).n <- 0
+  done
 
 let add_path t ~chain ~nodes ~frac =
   let stages = Instance.num_stages t.inst chain in
@@ -69,8 +74,7 @@ let add_path t ~chain ~nodes ~frac =
   for z = 0 to stages - 1 do
     let src = nodes.(z) and dst = nodes.(z + 1) in
     let st = t.stores.(base + z) in
-    (* Merge with an existing identical hop if present (first match wins,
-       like the legacy list merge); otherwise append. *)
+    (* Merge with the first identical hop if present; otherwise append. *)
     let k = ref 0 in
     while !k < st.n && not (st.src.(!k) = src && st.dst.(!k) = dst) do
       incr k
@@ -81,6 +85,15 @@ let add_path t ~chain ~nodes ~frac =
 
 let close_enough a b = Float.abs (a -. b) < 1e-6
 
+(* Sum of [st]'s fractions whose [ends] (its [src] or [dst]) is [node], in
+   insertion order. *)
+let flow_sum st ends node =
+  let acc = ref 0. in
+  for k = 0 to st.n - 1 do
+    if ends.(k) = node then acc := !acc +. st.frac.(k)
+  done;
+  !acc
+
 let validate t =
   let m = model t in
   let problem = ref None in
@@ -88,69 +101,48 @@ let validate t =
   for c = 0 to Model.num_chains m - 1 do
     let stages = Instance.num_stages t.inst c in
     for z = 0 to stages - 1 do
-      let srcs = Instance.stage_src_nodes t.inst ~chain:c ~stage:z in
+      let srcs = Model.stage_src_nodes m ~chain:c ~stage:z in
       let dsts = Instance.stage_dst_nodes t.inst ~chain:c ~stage:z in
-      List.iter
-        (fun (s, d, f) ->
-          if f < -1e-9 then fail "chain %d stage %d: negative fraction %g" c z f;
-          if not (List.mem s srcs) then
-            fail "chain %d stage %d: invalid source node %d" c z s;
-          if not (List.mem d dsts) then
-            fail "chain %d stage %d: invalid destination node %d" c z d)
-        (stage_flows t ~chain:c ~stage:z)
+      let st = store t ~chain:c ~stage:z in
+      for k = 0 to st.n - 1 do
+        let s = st.src.(k) and d = st.dst.(k) and f = st.frac.(k) in
+        if f < -1e-9 then fail "chain %d stage %d: negative fraction %g" c z f;
+        if not (List.mem s srcs) then fail "chain %d stage %d: invalid source node %d" c z s;
+        if not (List.mem d dsts) then
+          fail "chain %d stage %d: invalid destination node %d" c z d
+      done
     done;
     (* Each ingress node emits exactly its traffic share (stage 0), and
        each egress node receives its share (final stage). *)
+    let first = store t ~chain:c ~stage:0 and last = store t ~chain:c ~stage:(stages - 1) in
     List.iter
       (fun (node, share) ->
-        let out =
-          List.fold_left
-            (fun acc (s, _, f) -> if s = node then acc +. f else acc)
-            0.
-            (stage_flows t ~chain:c ~stage:0)
-        in
+        let out = flow_sum first first.src node in
         if not (close_enough out share) then
           fail "chain %d: ingress %d emits %g, expected %g" c node out share)
       (Model.chain_ingresses m c);
     List.iter
       (fun (node, share) ->
-        let inflow =
-          List.fold_left
-            (fun acc (_, d, f) -> if d = node then acc +. f else acc)
-            0.
-            (stage_flows t ~chain:c ~stage:(stages - 1))
-        in
+        let inflow = flow_sum last last.dst node in
         if not (close_enough inflow share) then
           fail "chain %d: egress %d receives %g, expected %g" c node inflow share)
       (Model.chain_egresses m c);
     (* Conservation at each VNF element's sites (Eq. 5). *)
     for z = 0 to stages - 2 do
-      let sites = Instance.stage_dst_nodes t.inst ~chain:c ~stage:z in
+      let into = store t ~chain:c ~stage:z and from = store t ~chain:c ~stage:(z + 1) in
       List.iter
         (fun node ->
-          let inflow =
-            List.fold_left
-              (fun acc (_, d, f) -> if d = node then acc +. f else acc)
-              0.
-              (stage_flows t ~chain:c ~stage:z)
-          in
-          let outflow =
-            List.fold_left
-              (fun acc (s, _, f) -> if s = node then acc +. f else acc)
-              0.
-              (stage_flows t ~chain:c ~stage:(z + 1))
-          in
+          let inflow = flow_sum into into.dst node and outflow = flow_sum from from.src node in
           if not (close_enough inflow outflow) then
             fail "chain %d element %d at node %d: in %g <> out %g" c (z + 1) node
               inflow outflow)
-        sites
+        (Instance.stage_dst_nodes t.inst ~chain:c ~stage:z)
     done
   done;
   match !problem with None -> Ok () | Some s -> Error s
 
 (* Commit every stage flow into [state]: chains ascending, stages ascending,
-   flows in insertion order — the legacy nested-list commit order, so load
-   accumulation is bit-identical. *)
+   flows in insertion order. *)
 let commit_into state t =
   let stage_off = Instance.stage_off t.inst in
   for c = 0 to Instance.num_chains t.inst - 1 do
@@ -243,55 +235,57 @@ let mean_latency ?alpha ?vnf_service_time t =
 
 let propagation_latency t = latency_terms ~with_queueing:false t
 
+(* Flow decomposition over a residual copy of each stage's fractions. A
+   round starts on the first stage-0 arc with residual above 1e-9 and, at
+   each later stage, follows the first such arc out of the current node,
+   in insertion order; the path carries the smallest residual on it, which
+   is taken off every arc matching one of its hops. A round that strands
+   (a partial routing) writes its first arc off instead. *)
 let decompose_paths t ~chain =
   let stages = Instance.num_stages t.inst chain in
-  (* Mutable residual copy of the stage flows. *)
-  let residual =
-    Array.init stages (fun z -> ref (stage_flows t ~chain ~stage:z))
+  let base = (Instance.stage_off t.inst).(chain) in
+  let res = Array.init stages (fun z -> let st = t.stores.(base + z) in Array.sub st.frac 0 st.n) in
+  (* The first arc of stage [z] with residual flow leaving [node] (any node
+     when [node < 0]), or [-1]. *)
+  let take z node =
+    let st = t.stores.(base + z) and r = res.(z) in
+    let k = ref 0 in
+    while !k < st.n && not ((node < 0 || st.src.(!k) = node) && r.(!k) > 1e-9) do
+      incr k
+    done;
+    if !k < st.n then !k else -1
   in
-  let take stage node =
-    (* First arc with positive fraction leaving [node] at [stage]. *)
-    List.find_opt (fun (s, _, f) -> s = node && f > 1e-9) !(residual.(stage))
+  let subtract z src dst amount =
+    let st = t.stores.(base + z) and r = res.(z) in
+    for k = 0 to st.n - 1 do
+      if st.src.(k) = src && st.dst.(k) = dst then r.(k) <- r.(k) -. amount
+    done
   in
-  let take_any_source () =
-    (* Any stage-0 arc with residual flow (chains may have several
-       ingresses). *)
-    List.find_opt (fun (_, _, f) -> f > 1e-9) !(residual.(0))
-  in
-  let subtract stage (src, dst) amount =
-    residual.(stage) :=
-      List.filter_map
-        (fun (s, d, f) ->
-          if s = src && d = dst then
-            if f -. amount > 1e-9 then Some (s, d, f -. amount) else None
-          else Some (s, d, f))
-        !(residual.(stage))
-  in
+  let nodes = Array.make (stages + 1) 0 in
   let paths = ref [] in
-  let continue = ref true in
-  while !continue do
-    match take_any_source () with
-    | None -> continue := false
-    | Some (src0, dst0, f0) ->
-      let nodes = Array.make (stages + 1) src0 in
-      nodes.(1) <- dst0;
-      let frac = ref f0 in
-      (try
-         for z = 1 to stages - 1 do
-           match take z nodes.(z) with
-           | Some (_, d, f) ->
-             nodes.(z + 1) <- d;
-             frac := Float.min !frac f
-           | None -> raise Exit
-         done;
-         for z = 0 to stages - 1 do
-           subtract z (nodes.(z), nodes.(z + 1)) !frac
-         done;
-         paths := (Array.copy nodes, !frac) :: !paths
-       with Exit ->
-         (* Conservation violated (partial routing): drop the dangling arc
-            to guarantee termination. *)
-         subtract 0 (src0, dst0) f0)
+  let k0 = ref (take 0 (-1)) in
+  while !k0 >= 0 do
+    let f0 = res.(0).(!k0) in
+    nodes.(0) <- t.stores.(base).src.(!k0);
+    nodes.(1) <- t.stores.(base).dst.(!k0);
+    let frac = ref f0 and z = ref 1 and stranded = ref false in
+    while !z < stages && not !stranded do
+      let k = take !z nodes.(!z) in
+      if k < 0 then stranded := true
+      else begin
+        nodes.(!z + 1) <- t.stores.(base + !z).dst.(k);
+        frac := Float.min !frac res.(!z).(k);
+        incr z
+      end
+    done;
+    if !stranded then subtract 0 nodes.(0) nodes.(1) f0
+    else begin
+      for z = 0 to stages - 1 do
+        subtract z nodes.(z) nodes.(z + 1) !frac
+      done;
+      paths := (Array.copy nodes, !frac) :: !paths
+    end;
+    k0 := take 0 (-1)
   done;
   List.rev !paths
 

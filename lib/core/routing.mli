@@ -14,9 +14,9 @@ val create : Model.t -> t
     [of_instance (Instance.compile m)]. *)
 
 val of_instance : Instance.t -> t
-(** All-zero routing over a pre-compiled instance. Storage is packed
-    parallel arrays per stage (insertion-ordered, capacity-doubling); the
-    list-shaped API below is a shim over it. *)
+(** All-zero routing over a pre-compiled instance. A stage's flows are
+    held as parallel [(src, dst, frac)] arrays in insertion order
+    (capacity-doubling); every evaluator walks them in that order. *)
 
 val instance : t -> Instance.t
 val model : t -> Model.t
@@ -25,10 +25,16 @@ val reset : t -> unit
 (** Drop every stage flow in place (capacities are kept) — the arena
     primitive behind {!Eval}'s bisection. *)
 
-val set_stage : t -> chain:int -> stage:int -> (int * int * float) list -> unit
-(** Replace a stage's flow list [(src_node, dst_node, fraction)]. *)
+val append_flow : t -> chain:int -> stage:int -> src:int -> dst:int -> frac:float -> unit
+(** Add flow [(src, dst, frac)] after the stage's existing flows, without
+    merging it into an identical hop. *)
 
-val stage_flows : t -> chain:int -> stage:int -> (int * int * float) list
+val iter_stage : t -> chain:int -> stage:int -> (int -> int -> float -> unit) -> unit
+(** [iter_stage t ~chain ~stage f] calls [f src dst frac] on each of the
+    stage's flows in insertion order. *)
+
+val clear_chain : t -> chain:int -> unit
+(** Drop every flow of one chain in place (capacities are kept). *)
 
 val add_path : t -> chain:int -> nodes:int array -> frac:float -> unit
 (** Add fraction [frac] of a chain along the element-node sequence [nodes]
@@ -71,7 +77,8 @@ val decompose_paths : t -> chain:int -> (int array * float) list
 (** Decompose a chain's (splittable) stage flows into end-to-end paths with
     fractions: each path is an element-node sequence of length
     [chain_length + 2]; fractions sum to the chain's routed fraction.
-    Standard flow decomposition — at most one path per flow-carrying arc. *)
+    Standard flow decomposition — at most one path per flow-carrying arc,
+    in discovery order; flow that does not reach the egress is dropped. *)
 
 val pp_chain : Format.formatter -> t -> int -> unit
 (** Render one chain's routes for humans. *)

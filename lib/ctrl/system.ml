@@ -2,6 +2,7 @@ module Bus = Sb_msgbus.Bus
 module Engine = Sb_sim.Engine
 module DP = Sb_dataplane.Shard
 module Plane = Sb_dataplane.Plane
+module Balancer = Sb_dataplane.Balancer
 open Types
 
 let broadcast_topic = "/chains"
@@ -217,81 +218,71 @@ let ls_subscribe t ls topic callback =
    and the receiver of another for the same stage, and would both break
    chain routing and collide in the fabric's role-keyed flow store).
 
+   Both rules are hierarchical (Section 5.2, {!Balancer.compose}): each
+   route's site-level fraction times the in-site weights of the next-hop
+   site's hops, normalized within that site — its forwarders weighted by
+   their published instance weight when the site is remote, the local
+   instances (or the egress edge) when it is this one. A site with more
+   instances thus takes its share of the route, not more.
+
    The fold runs over the stage's transition table in route-list order —
    the same floats in the same order whether the table arrived as a
    compiled delta or from the retained full route set (a heal), so a site
    that healed installs bit-identical rules to one that never lost a
    delta. *)
 let compute_stage_rule t ls (lc : local_chain) stage =
-  let spec = lc.lc_spec in
-  let elements = chain_elements spec in
-  let targets = ref [] in
-  let rx_targets = ref [] in
-  let add tgt w = if w > 0. then targets := (tgt, w) :: !targets in
-  let add_rx tgt w = if w > 0. then rx_targets := (tgt, w) :: !rx_targets in
+  let next_vnf = (chain_elements lc.lc_spec).(stage + 1) in
   let missing = ref false in
-  let next_vnf = elements.(stage + 1) in
-  let relevant = ref false in
+  let known = function
+    | Some (_ :: _ as hops) -> hops
+    | Some [] | None ->
+      missing := true;
+      []
+  in
+  (* The in-site hops of [site] with their raw weights. *)
+  let per_site site =
+    if site = ls.ls_site then
+      if next_vnf = -2 then
+        match t.sites.(site).edge with
+        | Some e -> [ (Plane.Edge e, 1.) ]
+        | None ->
+          missing := true;
+          []
+      else
+        List.map
+          (fun (i, w) -> (Plane.Vnf_instance i, w))
+          (known (Hashtbl.find_opt ls.ls_instance_info (lc.lc_id, next_vnf, site)))
+    else if next_vnf = -2 then [ (Plane.Forwarder (List.hd t.sites.(site).forwarders), 1.) ]
+    else
+      List.map
+        (fun (f, w) -> (Plane.Forwarder f, Float.max w 1e-9))
+        (known (Hashtbl.find_opt ls.ls_fwd_info (lc.lc_id, next_vnf, site)))
+  in
+  (* Site fractions, keyed by each route's next-hop site: the full rule
+     takes every route this site sends or receives on, the receiver-side
+     rule only those it receives. *)
+  let sends = ref [] and receives = ref [] in
   Array.iter
     (fun (s_z, s_z1, weight) ->
-      let local_instances () =
-        match Hashtbl.find_opt ls.ls_instance_info (lc.lc_id, next_vnf, ls.ls_site) with
-        | Some ((_ :: _) as insts) ->
-          List.iter
-            (fun (i, w) ->
-              add (Plane.Vnf_instance i) (weight *. w);
-              add_rx (Plane.Vnf_instance i) (weight *. w))
-            insts
-        | Some [] | None -> missing := true
-      in
-      let local_egress () =
-        match t.sites.(ls.ls_site).edge with
-        | Some e ->
-          add (Plane.Edge e) weight;
-          add_rx (Plane.Edge e) weight
-        | None -> missing := true
-      in
-      if s_z = ls.ls_site then begin
-        relevant := true;
-        if s_z1 = ls.ls_site then
-          if next_vnf = -2 then local_egress () else local_instances ()
-        else begin
-          (* Remote next hop: the hierarchical rule spreads this route's
-             share over the forwarders the next VNF's site published, each
-             weighted by its attached-instance weight (Section 5.2). *)
-          if next_vnf = -2 then
-            add (Plane.Forwarder (List.hd t.sites.(s_z1).forwarders)) weight
-          else
-            match Hashtbl.find_opt ls.ls_fwd_info (lc.lc_id, next_vnf, s_z1) with
-            | Some ((_ :: _) as fwds) ->
-              List.iter
-                (fun (f, w) -> add (Plane.Forwarder f) (weight *. Float.max w 1e-9))
-                fwds
-            | Some [] | None -> missing := true
-        end
-      end
-      else if s_z1 = ls.ls_site then begin
-        (* Receiver side: traffic arrives from a remote forwarder and must
-           be spread over local instances (or handed to the egress edge). *)
-        relevant := true;
-        if next_vnf = -2 then local_egress () else local_instances ()
-      end)
+      if s_z = ls.ls_site || s_z1 = ls.ls_site then sends := (s_z1, weight) :: !sends;
+      if s_z1 = ls.ls_site then receives := (s_z1, weight) :: !receives)
     lc.lc_tr.(stage);
-  if not !relevant then Some (None, None)
-  else if !missing then None
-  else begin
-    (* Merge duplicate targets. *)
-    let merge lst =
-      let merged = Hashtbl.create 8 in
-      List.iter
-        (fun (tgt, w) ->
-          let cur = try Hashtbl.find merged tgt with Not_found -> 0. in
-          Hashtbl.replace merged tgt (cur +. w))
-        lst;
-      Hashtbl.fold (fun tgt w acc -> (tgt, w) :: acc) merged [] |> List.sort compare
-    in
-    Some (Some (merge !targets), match !rx_targets with [] -> None | rx -> Some (merge rx))
-  end
+  (* Merge duplicate targets. *)
+  let merge lst =
+    let merged = Hashtbl.create 8 in
+    List.iter
+      (fun (tgt, w) ->
+        let cur = try Hashtbl.find merged tgt with Not_found -> 0. in
+        Hashtbl.replace merged tgt (cur +. w))
+      lst;
+    Hashtbl.fold (fun tgt w acc -> (tgt, w) :: acc) merged [] |> List.sort compare
+  in
+  if !sends = [] then Some (None, None)
+  else
+    let targets = Balancer.compose ~site_fraction:!sends ~per_site in
+    let rx_targets = Balancer.compose ~site_fraction:!receives ~per_site in
+    if !missing then None
+    else Some (Some (merge targets), match rx_targets with [] -> None | rx -> Some (merge rx))
 
 let try_install t ls (lc : local_chain) =
   let egress = lc.lc_egress in

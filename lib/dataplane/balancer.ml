@@ -25,8 +25,6 @@ let normalize rule =
   let total = List.fold_left (fun acc (_, w) -> acc +. w) 0. rule in
   if total <= 0. then [] else List.map (fun (h, w) -> (h, w /. total)) rule
 
-let forwarder_weight ~instance_weights = List.fold_left ( +. ) 0. instance_weights
-
 let compose ~site_fraction ~per_site =
   List.concat_map
     (fun (site, frac) ->

@@ -4,9 +4,10 @@
     A forwarder's rule is a weighted list of next hops. Hierarchical
     composition builds the weights the Local Switchboard installs: the
     site-level traffic-engineering fraction [x_czn1n2] multiplied by the
-    weight of the forwarder or instance within the site; a forwarder's own
-    published weight is the sum of the weights of the VNF instances
-    attached to it. *)
+    weight of the forwarder or instance within the site, normalized over
+    the site's hops ({!compose}); a forwarder's own published weight is
+    the sum of the weights of the VNF instances attached to it
+    ([Plane.forwarder_published_weight]). *)
 
 type 'hop rule = ('hop * float) list
 
@@ -25,9 +26,6 @@ val cumulative : float array -> float array * bool
 
 val normalize : 'hop rule -> 'hop rule
 (** Scale weights to sum to 1; drops non-positive entries. *)
-
-val forwarder_weight : instance_weights:float list -> float
-(** A forwarder publishes the sum of its attached instances' weights. *)
 
 val compose :
   site_fraction:(int * float) list ->

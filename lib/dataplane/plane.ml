@@ -540,7 +540,7 @@ type dht = {
 }
 
 let dht_create ~replication =
-  if replication <= 0 then invalid_arg "Dht_table.create: replication must be positive";
+  if replication <= 0 then invalid_arg "Plane.create: replication must be positive";
   { repl = replication; members = [||]; stores = [||]; hit = dummy_ftab }
 
 let dht_find d h =
@@ -564,7 +564,7 @@ let dht_find d h =
 
 let dht_put d h fh nxt prv age =
   let n = Array.length d.members in
-  if n = 0 then invalid_arg "Dht_table.put: no nodes in the ring";
+  if n = 0 then invalid_arg "Plane: no forwarder holds the replicated flow store";
   let k = if d.repl < n then d.repl else n in
   let start = h mod n in
   for j = 0 to k - 1 do

@@ -38,6 +38,12 @@ let check_valid name r =
   | Ok () -> ()
   | Error e -> Alcotest.fail (Printf.sprintf "%s: invalid routing: %s" name e)
 
+(* A stage's flows [(src, dst, frac)] in insertion order. *)
+let stage_flows r ~chain ~stage =
+  let flows = ref [] in
+  Routing.iter_stage r ~chain ~stage (fun s d f -> flows := (s, d, f) :: !flows);
+  List.rev !flows
+
 (* ------------------------------ model ------------------------------ *)
 
 let test_model_accessors () =
@@ -133,9 +139,9 @@ let test_routing_detects_bad_site () =
 let test_routing_detects_conservation_violation () =
   let m, c, _, _ = small_model () in
   let r = Routing.create m in
-  Routing.set_stage r ~chain:c ~stage:0 [ (0, 0, 1.0) ];
-  Routing.set_stage r ~chain:c ~stage:1 [ (1, 1, 1.0) ]; (* flow teleports 0 -> 1 *)
-  Routing.set_stage r ~chain:c ~stage:2 [ (1, 2, 1.0) ];
+  Routing.append_flow r ~chain:c ~stage:0 ~src:0 ~dst:0 ~frac:1.0;
+  Routing.append_flow r ~chain:c ~stage:1 ~src:1 ~dst:1 ~frac:1.0; (* flow teleports 0 -> 1 *)
+  Routing.append_flow r ~chain:c ~stage:2 ~src:1 ~dst:2 ~frac:1.0;
   match Routing.validate r with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "expected conservation violation"
@@ -184,6 +190,26 @@ let test_decompose_roundtrip () =
   List.iter
     (fun (nodes, _) -> Alcotest.(check int) "path length" 4 (Array.length nodes))
     paths
+
+(* Machine-independent cost of one decompose_paths sweep over the 40
+   SB-DP chains of the 25-site backbone (206 stage flows, 40 paths): minor
+   words allocated. The list-walking decomposition took 8,462; the sweep
+   over the packed stores takes 2,842, pinned here with 25 % headroom. *)
+let test_decompose_minor_words () =
+  let m = Sb_adapt.Scenario.backbone25 Sb_adapt.Scenario.default_config in
+  let r = Dp.solve m in
+  let n = Model.num_chains m in
+  let sweep () =
+    for c = 0 to n - 1 do
+      ignore (Routing.decompose_paths r ~chain:c)
+    done
+  in
+  sweep ();
+  let before = Gc.minor_words () in
+  sweep ();
+  let words = Gc.minor_words () -. before in
+  Alcotest.(check bool) (Printf.sprintf "%.0f minor words <= 1.25 x 2,842" words) true
+    (words <= 1.25 *. 2842.)
 
 let test_decompose_lp_routing () =
   let m = synth_model () in
@@ -363,10 +389,10 @@ let test_anycast_picks_nearest () =
   (* From ingress 0, nearest f0 site is node 0; then nearest f1 site is 1. *)
   Alcotest.(check (list (pair (pair int int) (float 1e-9)))) "stage 0 hop"
     [ ((0, 0), 1.) ]
-    (List.map (fun (a, b, f) -> ((a, b), f)) (Routing.stage_flows r ~chain:c ~stage:0));
+    (List.map (fun (a, b, f) -> ((a, b), f)) (stage_flows r ~chain:c ~stage:0));
   Alcotest.(check (list (pair (pair int int) (float 1e-9)))) "stage 1 hop"
     [ ((0, 1), 1.) ]
-    (List.map (fun (a, b, f) -> ((a, b), f)) (Routing.stage_flows r ~chain:c ~stage:1))
+    (List.map (fun (a, b, f) -> ((a, b), f)) (stage_flows r ~chain:c ~stage:1))
 
 let test_compute_aware_avoids_saturation () =
   (* Two identical chains, f0 capacity only big enough for one at site 0. *)
@@ -441,7 +467,7 @@ let test_dp_splits_under_pressure () =
   (* Chain load on one deployment = 8*2 = 16 > 10: must split sites. *)
   let r = Dp.solve m in
   check_valid "dp split" r;
-  let flows = Routing.stage_flows r ~chain:c ~stage:0 in
+  let flows = stage_flows r ~chain:c ~stage:0 in
   Alcotest.(check bool) "split across two sites" true (List.length flows >= 2);
   Alcotest.(check bool) "supports full load" true (Routing.max_alpha r >= 1. -. 1e-6)
 
@@ -991,7 +1017,7 @@ let check_endpoint_shares m c r =
         List.fold_left
           (fun acc (s, _, f) -> if s = node then acc +. f else acc)
           0.
-          (Routing.stage_flows r ~chain:c ~stage:0)
+          (stage_flows r ~chain:c ~stage:0)
       in
       Alcotest.(check (float 1e-6)) (Printf.sprintf "ingress %d share" node) share out)
     (Model.chain_ingresses m c);
@@ -1002,7 +1028,7 @@ let check_endpoint_shares m c r =
         List.fold_left
           (fun acc (_, d, f) -> if d = node then acc +. f else acc)
           0.
-          (Routing.stage_flows r ~chain:c ~stage:last)
+          (stage_flows r ~chain:c ~stage:last)
       in
       Alcotest.(check (float 1e-6)) (Printf.sprintf "egress %d share" node) share inflow)
     (Model.chain_egresses m c)
@@ -1084,50 +1110,34 @@ let prop_lp_dominates_dp =
         >= Routing.max_alpha (Dp.solve ~rng:(Sb_util.Rng.create seed) m) -. 1e-6
       | Error _ -> false)
 
+let small_backbone_model seed =
+  let rng = Sb_util.Rng.create seed in
+  let topo = Topology.backbone ~rng ~num_core:4 ~pops_per_core:1 () in
+  let params =
+    { Workload.default with Workload.num_chains = 8; num_vnfs = 6; max_chain_len = 4 }
+  in
+  Workload.synthesize ~rng topo params
+
+(* Every engine's routing of [m]: the three greedy schemes, SB-DP,
+   dp_latency and (when it solves) SB-LP. *)
+let engine_routings ~seed m =
+  [ Greedy.anycast m; Greedy.compute_aware m; Greedy.onehop m;
+    Dp.solve ~rng:(Sb_util.Rng.create seed) m; Dp.dp_latency m ]
+  @
+  match Lpr.solve m Lpr.Max_throughput with
+  | Ok { routing; _ } -> [ routing ]
+  | Error _ -> []
+
 let prop_routing_packed_roundtrip =
-  QCheck.Test.make ~name:"packed Routing round-trips the legacy list API" ~count:10
+  QCheck.Test.make ~name:"packed Routing round-trips the path decomposition" ~count:10
     QCheck.(int_range 0 1_000_000)
     (fun seed ->
-      let rng = Sb_util.Rng.create seed in
-      let topo = Topology.backbone ~rng ~num_core:4 ~pops_per_core:1 () in
-      let params =
-        { Workload.default with Workload.num_chains = 8; num_vnfs = 6; max_chain_len = 4 }
-      in
-      let m = Workload.synthesize ~rng topo params in
-      (* Every engine's output must validate, and must survive a rebuild
-         through the legacy list API: stage_flows -> set_stage reproduces
-         the packed stores exactly, decompose_paths -> add_path yields an
-         equivalent routing. *)
-      let engines =
-        [ Greedy.anycast m; Greedy.compute_aware m; Greedy.onehop m;
-          Dp.solve ~rng:(Sb_util.Rng.create seed) m; Dp.dp_latency m ]
-        @
-        match Lpr.solve m Lpr.Max_throughput with
-        | Ok { routing; _ } -> [ routing ]
-        | Error _ -> []
-      in
+      let m = small_backbone_model seed in
+      (* Every engine's output must validate, and decompose_paths ->
+         add_path must rebuild an equivalent routing. *)
       List.for_all
         (fun r ->
           Routing.validate r = Ok ()
-          &&
-          let r2 = Routing.create m in
-          let same = ref true in
-          for c = 0 to Model.num_chains m - 1 do
-            for z = 0 to Model.num_stages m c - 1 do
-              Routing.set_stage r2 ~chain:c ~stage:z
-                (Routing.stage_flows r ~chain:c ~stage:z)
-            done
-          done;
-          for c = 0 to Model.num_chains m - 1 do
-            for z = 0 to Model.num_stages m c - 1 do
-              if
-                Routing.stage_flows r2 ~chain:c ~stage:z
-                <> Routing.stage_flows r ~chain:c ~stage:z
-              then same := false
-            done
-          done;
-          !same
-          && Routing.max_alpha r2 = Routing.max_alpha r
           &&
           let r3 = Routing.create m in
           for c = 0 to Model.num_chains m - 1 do
@@ -1137,7 +1147,108 @@ let prop_routing_packed_roundtrip =
           done;
           Routing.validate r3 = Ok ()
           && Float.abs (Routing.max_alpha r3 -. Routing.max_alpha r) < 1e-6)
-        engines)
+        (engine_routings ~seed m))
+
+(* The list-walking flow decomposition that [Routing.decompose_paths]
+   replaced, kept as its oracle: residual stage-flow lists, the first
+   stage-0 arc with residual > 1e-9, then the first such arc out of each
+   node; the path fraction is taken off every arc matching a hop, and an
+   arc left at or below 1e-9 is dropped. A path that strands (a partial
+   routing) drops its first arc's residual instead. *)
+let decompose_oracle r ~chain =
+  let stages = Model.num_stages (Routing.model r) chain in
+  let residual = Array.init stages (fun z -> ref (stage_flows r ~chain ~stage:z)) in
+  let take stage node =
+    List.find_opt (fun (s, _, f) -> s = node && f > 1e-9) !(residual.(stage))
+  in
+  let subtract stage (src, dst) amount =
+    residual.(stage) :=
+      List.filter_map
+        (fun (s, d, f) ->
+          if s = src && d = dst then if f -. amount > 1e-9 then Some (s, d, f -. amount) else None
+          else Some (s, d, f))
+        !(residual.(stage))
+  in
+  let paths = ref [] in
+  let continue = ref true in
+  while !continue do
+    match List.find_opt (fun (_, _, f) -> f > 1e-9) !(residual.(0)) with
+    | None -> continue := false
+    | Some (src0, dst0, f0) -> (
+      let nodes = Array.make (stages + 1) src0 in
+      nodes.(1) <- dst0;
+      let frac = ref f0 in
+      try
+        for z = 1 to stages - 1 do
+          match take z nodes.(z) with
+          | Some (_, d, f) ->
+            nodes.(z + 1) <- d;
+            frac := Float.min !frac f
+          | None -> raise Exit
+        done;
+        for z = 0 to stages - 1 do
+          subtract z (nodes.(z), nodes.(z + 1)) !frac
+        done;
+        paths := (Array.copy nodes, !frac) :: !paths
+      with Exit -> subtract 0 (src0, dst0) f0)
+  done;
+  List.rev !paths
+
+(* Same paths, same order, same fraction bits. *)
+let same_paths a b =
+  List.equal
+    (fun (n1, f1) (n2, f2) -> n1 = n2 && Int64.equal (Int64.bits_of_float f1) (Int64.bits_of_float f2))
+    a b
+
+(* A random routing of [m] that need not conserve flow: whole paths
+   through [add_path] (which merges identical hops) mixed with single arcs
+   appended to one stage (duplicate (src, dst) pairs included), over a few
+   nodes per stage so arcs collide, at fractions that include zero and
+   values at the 1e-9 threshold. *)
+let random_soup rng m =
+  let r = Routing.create m in
+  let module R = Sb_util.Rng in
+  let pick l = List.nth l (R.int rng (List.length l)) in
+  let frac () =
+    match R.int rng 6 with
+    | 0 -> 0.
+    | 1 -> 1e-9
+    | 2 -> 0.25
+    | _ -> R.float rng 1.
+  in
+  for _ = 1 to 4 * Model.num_chains m do
+    let c = R.int rng (Model.num_chains m) in
+    let stages = Model.num_stages m c in
+    if R.bool rng then begin
+      let nodes =
+        Array.init (stages + 1) (fun z ->
+            if z = 0 then pick (Model.stage_src_nodes m ~chain:c ~stage:0)
+            else pick (Model.stage_dst_nodes m ~chain:c ~stage:(z - 1)))
+      in
+      Routing.add_path r ~chain:c ~nodes ~frac:(frac ())
+    end
+    else begin
+      let stage = R.int rng stages in
+      Routing.append_flow r ~chain:c ~stage
+        ~src:(pick (Model.stage_src_nodes m ~chain:c ~stage))
+        ~dst:(pick (Model.stage_dst_nodes m ~chain:c ~stage))
+        ~frac:(frac ())
+    end
+  done;
+  r
+
+let prop_decompose_matches_oracle =
+  QCheck.Test.make ~name:"decompose_paths = list oracle, bit for bit" ~count:20
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let m = small_backbone_model seed in
+      let rng = Sb_util.Rng.create seed in
+      List.for_all
+        (fun r ->
+          List.for_all
+            (fun c -> same_paths (Routing.decompose_paths r ~chain:c) (decompose_oracle r ~chain:c))
+            (List.init (Model.num_chains m) Fun.id))
+        (engine_routings ~seed m @ List.init 4 (fun _ -> random_soup rng m)))
 
 (* The delay-lower-bound prune of SB-DP's sweep must pick exactly the
    full sweep's path whenever every committed load is non-negative (the
@@ -1370,6 +1481,7 @@ let () =
           Alcotest.test_case "queueing saturation" `Quick test_routing_queueing_saturation;
           Alcotest.test_case "decompose roundtrip" `Quick test_decompose_roundtrip;
           Alcotest.test_case "decompose LP routing" `Slow test_decompose_lp_routing;
+          Alcotest.test_case "decompose sweep minor words" `Quick test_decompose_minor_words;
         ] );
       ( "greedy",
         [
@@ -1474,6 +1586,7 @@ let () =
           QCheck_alcotest.to_alcotest prop_schemes_always_valid;
           QCheck_alcotest.to_alcotest prop_lp_dominates_dp;
           QCheck_alcotest.to_alcotest prop_routing_packed_roundtrip;
+          QCheck_alcotest.to_alcotest prop_decompose_matches_oracle;
           QCheck_alcotest.to_alcotest prop_dp_prune_matches_full_sweep;
         ] );
     ]

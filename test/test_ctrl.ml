@@ -227,6 +227,37 @@ let test_scale_instances_rebalances_new_flows () =
   done;
   Alcotest.(check bool) "new instances absorb new connections" true !saw_new
 
+(* Hierarchical weights (Section 5.2): the sender splits a route set over
+   the next VNF's sites by the routes' fractions, whatever the instance
+   count at each site. Two routes at 0.5 each through a NAT with one
+   instance at site 1 and three at site 2. *)
+let test_split_follows_route_fractions () =
+  let sys = S.create ~num_sites:4 ~delay:delay30 ~gsb_site:0 () in
+  S.deploy_vnf sys ~vnf:7 ~site:1 ~capacity:10. ~instances:1;
+  S.deploy_vnf sys ~vnf:7 ~site:2 ~capacity:10. ~instances:3;
+  S.register_edge sys ~site:0 ~attachment:"office-A";
+  S.register_edge sys ~site:3 ~attachment:"office-B";
+  S.set_route_policy sys (fun _spec ~exclude:_ ->
+      Some
+        [ { T.element_sites = [| 0; 1; 3 |]; weight = 0.5 };
+          { T.element_sites = [| 0; 2; 3 |]; weight = 0.5 } ]);
+  let chain = S.request_chain sys (nat_spec "c") in
+  E.run (S.engine sys);
+  let fab = S.shard sys in
+  let rng = Sb_util.Rng.create 11 in
+  let site1 = Shard.forwarder_site fab (S.site_forwarder sys 1) in
+  let probes = 20_000 and at_site1 = ref 0 in
+  for _ = 1 to probes do
+    match S.probe_chain sys ~chain (Packet.random_tuple rng) with
+    | Ok trace ->
+      List.iter
+        (fun i -> if Shard.instance_site fab i = site1 then incr at_site1)
+        (Shard.instances_in_trace trace)
+    | Error e -> Alcotest.failf "probe: %a" Shard.pp_error e
+  done;
+  Alcotest.(check (float 0.03)) "share through site 1" 0.5
+    (float_of_int !at_site1 /. float_of_int probes)
+
 let test_scale_requires_deployment () =
   let sys = build_two_sites () in
   Alcotest.check_raises "unknown vnf"
@@ -665,6 +696,8 @@ let () =
           Alcotest.test_case "instance scaling rebalances new flows" `Quick
             test_scale_instances_rebalances_new_flows;
           Alcotest.test_case "scaling requires deployment" `Quick test_scale_requires_deployment;
+          Alcotest.test_case "split follows route fractions" `Quick
+            test_split_follows_route_fractions;
           Alcotest.test_case "instances spread over forwarders" `Quick
             test_instances_spread_over_forwarders;
         ] );

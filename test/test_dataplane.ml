@@ -90,9 +90,6 @@ let test_compose_hierarchical () =
   Alcotest.(check (float 1e-9)) "i1" 0.375 (w "i1");
   Alcotest.(check (float 1e-9)) "i2 = 0.25 (normalized within site)" 0.25 (w "i2")
 
-let test_forwarder_weight () =
-  Alcotest.(check (float 1e-9)) "sum" 6. (Balancer.forwarder_weight ~instance_weights:[ 1.; 2.; 3. ])
-
 (* qcheck: random two-level weight hierarchies (site fractions x in-site
    instance weights, zeros included). The empirical pick distribution
    converges to the composed weights; zero-weight targets are never
@@ -577,6 +574,13 @@ let test_forwarder_down_error () =
   match Plane.send_forward fab ~ingress:ein ~chain_label:1 ~egress_label:1 tuple1 with
   | Error (Plane.Forwarder_down f) -> Alcotest.(check int) "f1 reported" f1 f
   | _ -> Alcotest.fail "expected Forwarder_down"
+
+let test_replicated_zero_rejected () =
+  let msg = "Plane.create: replication must be positive" in
+  Alcotest.check_raises "Plane.create" (Invalid_argument msg) (fun () ->
+      ignore (Plane.create ~flow_store:(Plane.Replicated 0) ()));
+  Alcotest.check_raises "Shard.create" (Invalid_argument msg) (fun () ->
+      ignore (Sb_dataplane.Shard.create ~flow_store:(Plane.Replicated 0) ()))
 
 let test_replicated_mode_basic_safety () =
   (* The standard 2-site testbed invariants hold under the DHT store too. *)
@@ -1761,7 +1765,6 @@ let () =
           Alcotest.test_case "weights respected" `Quick test_pick_respects_weights;
           Alcotest.test_case "normalize" `Quick test_normalize;
           Alcotest.test_case "hierarchical compose" `Quick test_compose_hierarchical;
-          Alcotest.test_case "forwarder weight" `Quick test_forwarder_weight;
         ] );
       ( "fabric",
         [
@@ -1799,6 +1802,7 @@ let () =
             test_forwarder_failure_replicated_keeps_affinity;
           Alcotest.test_case "forwarder-down error" `Quick test_forwarder_down_error;
           Alcotest.test_case "replicated-mode safety" `Quick test_replicated_mode_basic_safety;
+          Alcotest.test_case "replication 0 rejected" `Quick test_replicated_zero_rejected;
         ] );
       ( "traffic_gen",
         [
