@@ -61,12 +61,13 @@ let ensure_tables scr ~rows ~stride =
 
    [prune] skips a candidate pair whose delay-plus-compute lower bound
    cannot beat the incumbent before its link-cost scan:
-   [stage_cost = delay + uw * (net + cc)] with [net >= 0] on non-negative
-   loads, and float rounding is monotone, so
+   [stage_cost = delay + uw * (net + cc)] with [net >= 0] ([Load] clamps a
+   link's post-addition load at 0., so even the ~1e-16 negative residues
+   a lift-out leaves cost nothing) and float rounding is monotone, so
    [pc +. (delay +. uw *. cc) >= best] implies the full cost cannot win —
-   the same path as the full scan. [solve] passes it (its loads only
-   grow); [resolve] must not: lift-outs can leave ~1e-16 negative load
-   residues that make [net] infinitesimally negative and void the bound. *)
+   the same path as the full scan. [solve] and [resolve] pass it;
+   [best_path] and [resolve_unpruned] are the full-scan references the
+   property tests hold them to. *)
 let sweep scr ~prune state ~util_weight ~chain ~ingress ~egress =
   let inst = Load_state.instance state in
   let paths = Model.paths (Instance.model inst) in
@@ -352,14 +353,14 @@ let current_cost state ~util_weight chain paths =
 (* Cost of the chain's best single route per endpoint pair on the same
    lifted-out load — marginal vs marginal, so the hysteresis threshold
    compares like with like. *)
-let alternative_cost scr state ~util_weight chain =
+let alternative_cost scr ~prune state ~util_weight chain =
   let m = Load_state.model state in
   let total = ref 0. and feasible = ref true in
   List.iter
     (fun (ingress, ishare) ->
       List.iter
         (fun (egress, eshare) ->
-          match sweep scr ~prune:false state ~util_weight ~chain ~ingress ~egress with
+          match sweep scr ~prune state ~util_weight ~chain ~ingress ~egress with
           | Some nodes ->
             total := !total +. (ishare *. eshare *. path_cost state ~util_weight chain nodes)
           | None -> feasible := false)
@@ -367,8 +368,8 @@ let alternative_cost scr state ~util_weight chain =
     (Model.chain_ingresses m chain);
   if !feasible then Some !total else None
 
-let resolve ?(util_weight = default_util_weight) ?(max_routes = 8) ?(hysteresis = 0.1)
-    ?(churn_budget = max_int) ~prev m =
+let resolve_with ~prune ?(util_weight = default_util_weight) ?(max_routes = 8)
+    ?(hysteresis = 0.1) ?(churn_budget = max_int) ~prev m =
   let inst = Instance.compile m in
   let routing = Routing.of_instance inst in
   let state = Load_state.of_instance inst in
@@ -401,7 +402,7 @@ let resolve ?(util_weight = default_util_weight) ?(max_routes = 8) ?(hysteresis 
     let cur =
       if lifted then current_cost state ~util_weight c prev_paths.(c) else infinity
     in
-    let alt = alternative_cost scr state ~util_weight c in
+    let alt = alternative_cost scr ~prune state ~util_weight c in
     if lifted then
       List.iter (fun (nodes, frac) -> commit state c nodes frac) prev_paths.(c);
     match alt with
@@ -433,6 +434,9 @@ let resolve ?(util_weight = default_util_weight) ?(max_routes = 8) ?(hysteresis 
               Load_state.add_stage_flow state ~chain:c ~stage ~src ~dst ~frac:(-.frac))
       done;
       Routing.clear_chain routing ~chain:c;
-      route_chain scr ~prune:false state routing ~util_weight ~max_routes c)
+      route_chain scr ~prune state routing ~util_weight ~max_routes c)
     rerouted;
   (routing, { rerouted; considered = !considered; over_threshold = List.length ranked })
+
+let resolve = resolve_with ~prune:true
+let resolve_unpruned = resolve_with ~prune:false

@@ -17,11 +17,12 @@
     memoized). Its only variant is a delay-lower-bound prune: a candidate
     pair whose [delay + uw * compute] bound cannot beat the incumbent
     under the strict [<] tie-break is skipped before its link-cost scan.
-    That picks the same path as the full scan whenever every load is
-    non-negative, because stage costs are [delay + uw * (net + compute)]
-    with [net >= 0] there and float rounding is monotone. {!solve} prunes
-    (its loads only grow); {!resolve} does not, since lifting a chain out
-    can leave ~1e-16 negative load residues. *)
+    That picks the same path as the full scan, because stage costs are
+    [delay + uw * (net + compute)] with [net >= 0] and float rounding is
+    monotone. [net >= 0] holds on any load state: {!Sb_net.Load} clamps a
+    link's post-addition load at 0., so the ~1e-16 negative residues that
+    lifting a chain out can leave cost nothing. {!solve} and {!resolve}
+    both prune. *)
 
 val default_util_weight : float
 (** Weight converting Fortz–Thorup utilization cost into seconds of
@@ -78,9 +79,8 @@ val best_path_pruned :
   util_weight:float ->
   chain:int ->
   int array option
-(** {!best_path} with the delay-lower-bound prune {!solve} uses. Returns
-    the same path as {!best_path} when every committed load is
-    non-negative. *)
+(** {!best_path} with the delay-lower-bound prune {!solve} and {!resolve}
+    use. Returns the same path as {!best_path}. *)
 
 type resolve_stats = {
   rerouted : int list;
@@ -109,7 +109,18 @@ val resolve :
     at most [churn_budget] of them per call (default unlimited), highest
     gain first. The scan lifts each chain out before costing, so current
     and alternative are the same marginal insertion; both the scan and the
-    re-route run the unpruned sweep. Chains left
+    re-route run the pruned sweep. Chains left
     unrouted by [prev] (or whose current route is infeasible under [m])
     score infinite gain and are re-routed first.
     Returns the new routing plus which chains moved. *)
+
+val resolve_unpruned :
+  ?util_weight:float ->
+  ?max_routes:int ->
+  ?hysteresis:float ->
+  ?churn_budget:int ->
+  prev:Routing.t ->
+  Model.t ->
+  Routing.t * resolve_stats
+(** {!resolve} on the full, unpruned sweep: the reference a property test
+    holds {!resolve} to, bit for bit. *)

@@ -13,7 +13,8 @@
      binary search — bit-identical to {!Balancer.pick} over the same rule
    - connection state is an open-addressed table of int-packed flow keys
      (hash of labels + stage + 5-tuple), with per-connection chains for
-     O(stages) teardown; Replicated mode keeps the same stores per DHT
+     O(stages) teardown, stored as packed [Bytes] columns the GC does not
+     scan (32 B a cell); Replicated mode keeps the same stores per DHT
      node under a consistent-hash ring
    - dynamic mutations (rule reinstall, weight change, fail/revive/
      reattach) append to the arena / patch the arrays in place — a
@@ -63,6 +64,19 @@ let pack = function
   | Forwarder i -> (i lsl 2) lor tag_fwd
   | Vnf_instance i -> (i lsl 2) lor tag_inst
 
+let max_int32 = 0x7FFF_FFFF
+
+(* Largest entity id whose packed endpoint fits an int32. *)
+let max_id = (max_int32 - tag_inst) lsr 2
+
+(* A rule target is what a flow-table cell's [fnx] slot stores. An id
+   outside [0, max_id] names no entity ({!fresh} never allocates one). *)
+let pack_target e =
+  match e with
+  | Edge i | Forwarder i | Vnf_instance i ->
+    if i < 0 || i > max_id then invalid_arg "Plane: rule target id out of range";
+    pack e
+
 let unpack pe =
   match pe land 3 with
   | 1 -> Edge (pe lsr 2)
@@ -84,92 +98,150 @@ let key_hash base stage =
   let h = Packet.mix (base lxor (stage * 0x85EBCA6B)) in
   if h < 2 then h + 2 else h
 
+(* ------------------------- packed columns --------------------------- *)
+
+(* The connection tables keep their per-cell fields in [Bytes] columns
+   rather than [int array]s: 8-byte slots for the 63-bit hashes, 4-byte
+   slots for everything that fits an int32 (packed endpoints, cell
+   indices, the logical clock). Bytes live on the OCaml heap, so they
+   count in its size, but the major GC never scans them, and a flow-table
+   cell takes 32 B where six [int array] words took 48 B.
+
+   A 4-byte store never checks its value: each range is checked once,
+   where the value enters. Packed endpoints are checked at id allocation
+   ({!fresh}) and rule install ({!pack_target}), cell indices at table
+   growth ({!max_cells}), and the clock in {!set_clock}.
+
+   The [*u] accessors skip the bounds check. They are used only at an
+   index of the form [x land fmask] (or [land mmask]), or at a probe
+   position returned by a find/place loop that only ever steps that way,
+   so the index is below the column's cell count by construction. Every
+   other access (capacity scans, indices read back from [flink] or the
+   heads map) is checked. *)
+
+external get64 : Bytes.t -> int -> int64 = "%caml_bytes_get64"
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64 : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external get32 : Bytes.t -> int -> int32 = "%caml_bytes_get32"
+external get32u : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+external set32 : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32"
+external set32u : Bytes.t -> int -> int32 -> unit = "%caml_bytes_set32u"
+
+let[@inline] ld8 b i = Int64.to_int (get64 b (i lsl 3))
+let[@inline] ld8u b i = Int64.to_int (get64u b (i lsl 3))
+let[@inline] st8 b i v = set64 b (i lsl 3) (Int64.of_int v)
+let[@inline] st8u b i v = set64u b (i lsl 3) (Int64.of_int v)
+let[@inline] ld4 b i = Int32.to_int (get32 b (i lsl 2))
+let[@inline] ld4u b i = Int32.to_int (get32u b (i lsl 2))
+let[@inline] st4 b i v = set32 b (i lsl 2) (Int32.of_int v)
+let[@inline] st4u b i v = set32u b (i lsl 2) (Int32.of_int v)
+
+(* A fresh column of [n] cells: zeroed for the key columns, whose 0 marks
+   an empty cell; left unfilled for the others, which are read only at
+   cells that hold a key and so were written first. *)
+let col8_zero n = Bytes.make (n * 8) '\000'
+let col8 n = Bytes.create (n * 8)
+let col4 n = Bytes.create (n * 4)
+
+(* Cell indices ([flink], the heads map's values) are stored in 4 bytes,
+   so a table holds at most 2^31 cells. *)
+let max_cells = max_int32 + 1
+
 (* ------------------ open-addressed int -> int map ------------------- *)
 
 (* Used for the per-connection chain heads of a flow table. Cell states in
-   [mk]: 0 empty, 1 tombstone, else the key (>= 2). *)
+   [mk] (8-byte keys): 0 empty, 1 tombstone, else the key (>= 2). [mv]
+   holds 4-byte flow-table cell indices. *)
 type fmap = {
   mutable mmask : int;
   mutable mn : int;
   mutable mtomb : int;
-  mutable mk : int array;
-  mutable mv : int array;
+  mutable mk : Bytes.t;
+  mutable mv : Bytes.t;
 }
 
-let fmap_create cap = { mmask = cap - 1; mn = 0; mtomb = 0; mk = Array.make cap 0; mv = Array.make cap 0 }
+let fmap_create cap = { mmask = cap - 1; mn = 0; mtomb = 0; mk = col8_zero cap; mv = col4 cap }
 
 let fmap_find m k =
-  let i = ref (k land m.mmask) in
+  let mk = m.mk and mask = m.mmask in
+  let i = ref (k land mask) in
   let r = ref (-2) in
   while !r = -2 do
-    let c = m.mk.(!i) in
+    let c = ld8u mk !i in
     if c = 0 then r := -1
-    else if c = k then r := m.mv.(!i)
-    else i := (!i + 1) land m.mmask
+    else if c = k then r := ld4u m.mv !i
+    else i := (!i + 1) land mask
   done;
   !r
 
 let rec fmap_put m k v =
   if (m.mn + m.mtomb + 1) * 4 > (m.mmask + 1) * 3 then begin
-    let ok = m.mk and ov = m.mv in
-    let cap = if (m.mn + 1) * 2 > m.mmask + 1 then (m.mmask + 1) * 2 else m.mmask + 1 in
-    m.mk <- Array.make cap 0;
-    m.mv <- Array.make cap 0;
+    let ok = m.mk and ov = m.mv and ocap = m.mmask + 1 in
+    let cap = if (m.mn + 1) * 2 > ocap then ocap * 2 else ocap in
+    m.mk <- col8_zero cap;
+    m.mv <- col4 cap;
     m.mmask <- cap - 1;
     m.mn <- 0;
     m.mtomb <- 0;
-    Array.iteri (fun i c -> if c >= 2 then fmap_put m c ov.(i)) ok
+    for i = 0 to ocap - 1 do
+      let c = ld8 ok i in
+      if c >= 2 then fmap_put m c (ld4 ov i)
+    done
   end;
-  let i = ref (k land m.mmask) in
+  let mk = m.mk and mask = m.mmask in
+  let i = ref (k land mask) in
   let ins = ref (-1) in
   let fin = ref false in
   while not !fin do
-    let c = m.mk.(!i) in
+    let c = ld8u mk !i in
     if c = k then begin
-      m.mv.(!i) <- v;
+      st4u m.mv !i v;
       fin := true;
       ins := -1
     end
     else if c = 0 then fin := true
     else begin
       if c = 1 && !ins < 0 then ins := !i;
-      i := (!i + 1) land m.mmask
+      i := (!i + 1) land mask
     end
   done;
-  if m.mk.(!i) <> k then begin
+  if ld8u mk !i <> k then begin
     let at = if !ins >= 0 then !ins else !i in
-    if m.mk.(at) = 1 then m.mtomb <- m.mtomb - 1;
-    m.mk.(at) <- k;
-    m.mv.(at) <- v;
+    if ld8u mk at = 1 then m.mtomb <- m.mtomb - 1;
+    st8u mk at k;
+    st4u m.mv at v;
     m.mn <- m.mn + 1
   end
 
 let fmap_remove m k =
-  let i = ref (k land m.mmask) in
+  let mk = m.mk and mask = m.mmask in
+  let i = ref (k land mask) in
   let fin = ref false in
   while not !fin do
-    let c = m.mk.(!i) in
+    let c = ld8u mk !i in
     if c = 0 then fin := true
     else if c = k then begin
-      m.mk.(!i) <- 1;
+      st8u mk !i 1;
       m.mtomb <- m.mtomb + 1;
       m.mn <- m.mn - 1;
       fin := true
     end
-    else i := (!i + 1) land m.mmask
+    else i := (!i + 1) land mask
   done
 
 let fmap_clear m =
-  Array.fill m.mk 0 (Array.length m.mk) 0;
+  Bytes.fill m.mk 0 (Bytes.length m.mk) '\000';
   m.mn <- 0;
   m.mtomb <- 0
 
 (* ----------------------- packed flow table -------------------------- *)
 
-(* Parallel arrays per cell: key hash ([hk]: 0 empty, 1 tombstone), packed
-   next/prev endpoints, the connection hash, the next cell of the same
-   connection ([flink], -1 ends the chain) for O(stages) teardown, and the
-   logical clock of the cell's last activity ([fage]) for idle expiry.
+(* Parallel columns per cell: key hash ([hk], 8 B: 0 empty, 1 tombstone),
+   packed next/prev endpoints ([fnx]/[fpv], 4 B), the connection hash
+   ([ffh], 8 B), the next cell of the same connection ([flink], 4 B; -1
+   ends the chain) for O(stages) teardown, and the logical clock of the
+   cell's last activity ([fage], 4 B) for idle expiry: 32 B a cell.
    [fdisp.(d)] counts the live cells [d] slots past their home slot, so
    the longest probe is read off its top non-empty bucket instead of a
    scan of every slot. *)
@@ -178,12 +250,12 @@ type ftab = {
   mutable fmask : int;
   mutable fn : int;
   mutable ftomb : int;
-  mutable hk : int array;
-  mutable fnx : int array;
-  mutable fpv : int array;
-  mutable ffh : int array;
-  mutable flink : int array;
-  mutable fage : int array;
+  mutable hk : Bytes.t;
+  mutable fnx : Bytes.t;
+  mutable fpv : Bytes.t;
+  mutable ffh : Bytes.t;
+  mutable flink : Bytes.t;
+  mutable fage : Bytes.t;
   mutable fdisp : int array;
   heads : fmap;
 }
@@ -195,90 +267,94 @@ let ftab_create () =
     fmask = cap - 1;
     fn = 0;
     ftomb = 0;
-    hk = Array.make cap 0;
-    fnx = Array.make cap 0;
-    fpv = Array.make cap 0;
-    ffh = Array.make cap 0;
-    flink = Array.make cap (-1);
-    fage = Array.make cap 0;
+    hk = col8_zero cap;
+    fnx = col4 cap;
+    fpv = col4 cap;
+    ffh = col8 cap;
+    flink = col4 cap;
+    fage = col4 cap;
     fdisp = Array.make 16 0;
     heads = fmap_create cap;
   }
 
 let ftab_find tab h =
-  let i = ref (h land tab.fmask) in
+  let hk = tab.hk and mask = tab.fmask in
+  let i = ref (h land mask) in
   let r = ref (-2) in
   while !r = -2 do
-    let c = tab.hk.(!i) in
+    let c = ld8u hk !i in
     if c = 0 then r := -1
     else if c = h then r := !i
-    else i := (!i + 1) land tab.fmask
+    else i := (!i + 1) land mask
   done;
   !r
 
 (* Raw insert of a key known to be absent; chain linking is the caller's
    job (used by grow, which relinks everything anyway). *)
 let ftab_place tab h fh nxt prv =
-  let i = ref (h land tab.fmask) in
-  while tab.hk.(!i) >= 2 do
-    i := (!i + 1) land tab.fmask
+  let hk = tab.hk and mask = tab.fmask in
+  let home = h land mask in
+  let i = ref home in
+  while ld8u hk !i >= 2 do
+    i := (!i + 1) land mask
   done;
-  if tab.hk.(!i) = 1 then tab.ftomb <- tab.ftomb - 1;
-  let d = (!i - (h land tab.fmask)) land tab.fmask in
+  let i = !i in
+  if ld8u hk i = 1 then tab.ftomb <- tab.ftomb - 1;
+  let d = (i - home) land mask in
   if d >= Array.length tab.fdisp then begin
     let b = Array.make (max (d + 1) (2 * Array.length tab.fdisp)) 0 in
     Array.blit tab.fdisp 0 b 0 (Array.length tab.fdisp);
     tab.fdisp <- b
   end;
   tab.fdisp.(d) <- tab.fdisp.(d) + 1;
-  tab.hk.(!i) <- h;
-  tab.fnx.(!i) <- nxt;
-  tab.fpv.(!i) <- prv;
-  tab.ffh.(!i) <- fh;
-  tab.flink.(!i) <- -1;
+  st8u hk i h;
+  st4u tab.fnx i nxt;
+  st4u tab.fpv i prv;
+  st8u tab.ffh i fh;
+  st4u tab.flink i (-1);
   tab.fn <- tab.fn + 1;
-  !i
+  i
 
 let ftab_grow tab =
   let ohk = tab.hk and onx = tab.fnx and opv = tab.fpv and ofh = tab.ffh in
-  let ofa = tab.fage in
-  let cap = if (tab.fn + 1) * 2 > tab.fcap then tab.fcap * 2 else tab.fcap in
+  let ofa = tab.fage and ocap = tab.fcap in
+  let cap = if (tab.fn + 1) * 2 > ocap then ocap * 2 else ocap in
+  if cap > max_cells then invalid_arg "Plane: flow table would exceed 2^31 cells";
   tab.fcap <- cap;
   tab.fmask <- cap - 1;
   tab.fn <- 0;
   tab.ftomb <- 0;
-  tab.hk <- Array.make cap 0;
-  tab.fnx <- Array.make cap 0;
-  tab.fpv <- Array.make cap 0;
-  tab.ffh <- Array.make cap 0;
-  tab.flink <- Array.make cap (-1);
-  tab.fage <- Array.make cap 0;
+  tab.hk <- col8_zero cap;
+  tab.fnx <- col4 cap;
+  tab.fpv <- col4 cap;
+  tab.ffh <- col8 cap;
+  tab.flink <- col4 cap;
+  tab.fage <- col4 cap;
   Array.fill tab.fdisp 0 (Array.length tab.fdisp) 0;
   fmap_clear tab.heads;
-  Array.iteri
-    (fun i h ->
-      if h >= 2 then begin
-        let s = ftab_place tab h ofh.(i) onx.(i) opv.(i) in
-        tab.fage.(s) <- ofa.(i);
-        let head = fmap_find tab.heads ofh.(i) in
-        tab.flink.(s) <- head;
-        fmap_put tab.heads ofh.(i) s
-      end)
-    ohk
+  for i = 0 to ocap - 1 do
+    let h = ld8 ohk i in
+    if h >= 2 then begin
+      let fh = ld8 ofh i in
+      let s = ftab_place tab h fh (ld4 onx i) (ld4 opv i) in
+      st4u tab.fage s (ld4 ofa i);
+      st4u tab.flink s (fmap_find tab.heads fh);
+      fmap_put tab.heads fh s
+    end
+  done
 
 let ftab_set tab h fh nxt prv age =
   let s = ftab_find tab h in
   if s >= 0 then begin
-    tab.fnx.(s) <- nxt;
-    tab.fpv.(s) <- prv;
-    tab.fage.(s) <- age
+    st4u tab.fnx s nxt;
+    st4u tab.fpv s prv;
+    st4u tab.fage s age
   end
   else begin
     if (tab.fn + tab.ftomb + 1) * 4 > tab.fcap * 3 then ftab_grow tab;
     let s = ftab_place tab h fh nxt prv in
-    tab.fage.(s) <- age;
-    let head = fmap_find tab.heads fh in
-    tab.flink.(s) <- head;
+    st4u tab.fage s age;
+    st4u tab.flink s (fmap_find tab.heads fh);
     fmap_put tab.heads fh s
   end
 
@@ -286,12 +362,12 @@ let ftab_remove_flow tab fh =
   let s = ref (fmap_find tab.heads fh) in
   if !s >= 0 then begin
     while !s >= 0 do
-      let nxt = tab.flink.(!s) in
-      let h = tab.hk.(!s) in
+      let nxt = ld4 tab.flink !s in
+      let h = ld8 tab.hk !s in
       if h >= 2 then begin
         let d = (!s - (h land tab.fmask)) land tab.fmask in
         tab.fdisp.(d) <- tab.fdisp.(d) - 1;
-        tab.hk.(!s) <- 1;
+        st8 tab.hk !s 1;
         tab.ftomb <- tab.ftomb + 1;
         tab.fn <- tab.fn - 1
       end;
@@ -301,7 +377,7 @@ let ftab_remove_flow tab fh =
   end
 
 let ftab_clear tab =
-  Array.fill tab.hk 0 tab.fcap 0;
+  Bytes.fill tab.hk 0 (Bytes.length tab.hk) '\000';
   Array.fill tab.fdisp 0 (Array.length tab.fdisp) 0;
   tab.fn <- 0;
   tab.ftomb <- 0;
@@ -315,13 +391,13 @@ let ftab_clear tab =
 let ftab_expire tab ~idle_before =
   let removed = ref 0 in
   for i = 0 to tab.fcap - 1 do
-    if tab.hk.(i) >= 2 && tab.fage.(i) < idle_before then begin
-      let fh = tab.ffh.(i) in
+    if ld8 tab.hk i >= 2 && ld4 tab.fage i < idle_before then begin
+      let fh = ld8 tab.ffh i in
       let fresh = ref false in
       let s = ref (fmap_find tab.heads fh) in
       while !s >= 0 do
-        if tab.hk.(!s) >= 2 && tab.fage.(!s) >= idle_before then fresh := true;
-        s := tab.flink.(!s)
+        if ld8 tab.hk !s >= 2 && ld4 tab.fage !s >= idle_before then fresh := true;
+        s := ld4 tab.flink !s
       done;
       if not !fresh then begin
         ftab_remove_flow tab fh;
@@ -576,8 +652,9 @@ let dht_rereplicate d =
   Array.iter
     (fun st ->
       for s = 0 to st.fcap - 1 do
-        if st.hk.(s) >= 2 then
-          Hashtbl.replace all st.hk.(s) (st.ffh.(s), st.fnx.(s), st.fpv.(s), st.fage.(s))
+        let h = ld8 st.hk s in
+        if h >= 2 then
+          Hashtbl.replace all h (ld8 st.ffh s, ld4 st.fnx s, ld4 st.fpv s, ld4 st.fage s)
       done)
     d.stores;
   Array.iter ftab_clear d.stores;
@@ -711,8 +788,11 @@ let ensure_id t id =
     t.f_dense <- grow_int t.f_dense n (-1)
   end
 
+(* Ids stop at [max_id], so every packed endpoint fits a flow table's
+   4-byte [fnx]/[fpv] slots. *)
 let fresh t =
   let id = t.next_id in
+  if id > max_id then invalid_arg "Plane: entity id space exhausted (2^29 ids)";
   t.next_id <- id + 1;
   ensure_id t id;
   id
@@ -909,7 +989,7 @@ let set_slot map fd ces slot =
 let install_rule_into t map ~forwarder ~chain_label ~egress_label ~stage targets =
   let fd = get_fd t forwarder in
   let ces = ces_intern t.ces chain_label egress_label stage in
-  let tgt = Array.of_list (List.map (fun (h, _) -> pack h) targets) in
+  let tgt = Array.of_list (List.map (fun (h, _) -> pack_target h) targets) in
   let ws = Array.of_list (List.map snd targets) in
   arena_kill t.arena (slot_of map.(fd) ces);
   let slot = arena_append t.arena tgt ws in
@@ -944,7 +1024,7 @@ let apply_delta t ~forwarder patches =
     (fun p ->
       let map = if p.rp_rx then t.rx else t.tx in
       let ces = ces_intern t.ces p.rp_chain p.rp_egress p.rp_stage in
-      let tgt = Array.of_list (List.map (fun (h, _) -> pack h) p.rp_targets) in
+      let tgt = Array.of_list (List.map (fun (h, _) -> pack_target h) p.rp_targets) in
       let ws = Array.of_list (List.map snd p.rp_targets) in
       let slot = slot_of map.(fd) ces in
       let retract = p.rp_targets = [] in
@@ -1004,7 +1084,7 @@ let ftab_stats tab =
 let ftab_scan_stats tab =
   let maxp = ref 0 and live = ref 0 in
   for i = 0 to tab.fcap - 1 do
-    let h = tab.hk.(i) in
+    let h = ld8 tab.hk i in
     if h >= 2 then begin
       incr live;
       let d = (i - (h land tab.fmask)) land tab.fmask in
@@ -1158,19 +1238,21 @@ let forward_core t ~record ~ingress ~chain_label ~egress_label ~size flow =
             | Some _ -> key_hash base ((2 * !stage) + side)
           in
           let next = ref 0 in
+          (* A found cell is a probe position, so the unchecked column
+             accesses below are in bounds. *)
           (match t.dht with
           | None ->
             let tab = t.f_tab.(fd) in
             let s = ftab_find tab h in
             if s >= 0 then begin
-              next := tab.fnx.(s);
-              tab.fage.(s) <- t.now
+              next := ld4u tab.fnx s;
+              st4u tab.fage s t.now
             end
           | Some d ->
             let s = dht_find d h in
             if s >= 0 then begin
-              next := d.hit.fnx.(s);
-              d.hit.fage.(s) <- t.now
+              next := ld4u d.hit.fnx s;
+              st4u d.hit.fage s t.now
             end);
           if !next = 0 then begin
             (* Flow miss: consult the rules. A packet handed over by a
@@ -1256,23 +1338,24 @@ let drive t ~ingress ~chain_label ~egress_label ~size flow =
 (* Reverse lookup must recover which role this forwarder played: prefer
    the receiver-side entry unless it names this forwarder as the sender it
    received from (then this forwarder was the sender). Returns the packed
-   prev hop, or 0. *)
+   prev hop, or 0. Found cells are probe positions, so the unchecked
+   column accesses are in bounds. *)
 let find_prev t fd fwd_global base stage =
   match t.dht with
   | None ->
     let tab = t.f_tab.(fd) in
     let s = ftab_find tab (key_hash base stage) in
     if s >= 0 then begin
-      tab.fage.(s) <- t.now;
-      tab.fpv.(s)
+      st4u tab.fage s t.now;
+      ld4u tab.fpv s
     end
     else 0
   | Some d ->
     let s1 = dht_find d (key_hash base ((2 * stage) + 1)) in
     let prv1 =
       if s1 >= 0 then begin
-        d.hit.fage.(s1) <- t.now;
-        d.hit.fpv.(s1)
+        st4u d.hit.fage s1 t.now;
+        ld4u d.hit.fpv s1
       end
       else 0
     in
@@ -1280,8 +1363,8 @@ let find_prev t fd fwd_global base stage =
     else begin
       let s0 = dht_find d (key_hash base (2 * stage)) in
       if s0 >= 0 then begin
-        d.hit.fage.(s0) <- t.now;
-        d.hit.fpv.(s0)
+        st4u d.hit.fage s0 t.now;
+        ld4u d.hit.fpv s0
       end
       else 0
     end
@@ -1393,7 +1476,10 @@ let end_flow t flow =
   | Some d -> Array.iter (fun st -> ftab_remove_flow st fh) d.stores
   | None -> ()
 
-let set_clock t now = t.now <- now
+(* The clock is stamped into the 4-byte [fage] slots. *)
+let set_clock t now =
+  if now < 0 || now > max_int32 then invalid_arg "Plane.set_clock: clock outside [0, 2^31)";
+  t.now <- now
 let clock t = t.now
 
 let expire_flows t ~idle_before =
@@ -1413,7 +1499,7 @@ let instance_flow_count t instance =
   let count = ref 0 in
   let scan tab =
     for s = 0 to tab.fcap - 1 do
-      if tab.hk.(s) >= 2 && (tab.fnx.(s) = pi || tab.fpv.(s) = pi) then incr count
+      if ld8 tab.hk s >= 2 && (ld4 tab.fnx s = pi || ld4 tab.fpv s = pi) then incr count
     done
   in
   for fd = 0 to t.nf - 1 do
@@ -1436,14 +1522,14 @@ let transfer_flows t ~from_instance ~to_instance =
   for fd = 0 to t.nf - 1 do
     let tab = t.f_tab.(fd) in
     for s = 0 to tab.fcap - 1 do
-      if tab.hk.(s) >= 2 then begin
-        if tab.fnx.(s) = pf then begin
+      if ld8 tab.hk s >= 2 then begin
+        if ld4 tab.fnx s = pf then begin
           incr rewritten;
-          tab.fnx.(s) <- pt
+          st4 tab.fnx s pt
         end;
-        if tab.fpv.(s) = pf then begin
+        if ld4 tab.fpv s = pf then begin
           incr rewritten;
-          tab.fpv.(s) <- pt
+          st4 tab.fpv s pt
         end
       end
     done
@@ -1457,11 +1543,11 @@ let transfer_flows t ~from_instance ~to_instance =
     let old_tab = t.f_tab.(ofd) and new_tab = t.f_tab.(nfd) in
     for s = 0 to old_tab.fcap - 1 do
       if
-        old_tab.hk.(s) >= 2
-        && (old_tab.fnx.(s) = pt || old_tab.fpv.(s) = pt)
+        ld8 old_tab.hk s >= 2
+        && (ld4 old_tab.fnx s = pt || ld4 old_tab.fpv s = pt)
       then
-        ftab_set new_tab old_tab.hk.(s) old_tab.ffh.(s) old_tab.fnx.(s)
-          old_tab.fpv.(s) old_tab.fage.(s)
+        ftab_set new_tab (ld8 old_tab.hk s) (ld8 old_tab.ffh s) (ld4 old_tab.fnx s)
+          (ld4 old_tab.fpv s) (ld4 old_tab.fage s)
     done
   end;
   t.journal <- t.journal + 1;

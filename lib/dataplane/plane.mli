@@ -26,7 +26,9 @@
     - connection state is an open-addressed table keyed by an int-packed
       flow key (avalanche hash of labels, role stage and 5-tuple), chained
       per connection for O(stages) teardown; [Replicated] mode keeps the
-      same stores under a consistent-hash ring with k-way replication;
+      same stores under a consistent-hash ring with k-way replication.
+      The tables are packed [Bytes] columns on the OCaml heap that the GC
+      does not scan: 32 B a cell, 12 B a per-connection head slot;
     - a packet is a handful of mutable locals advanced in place per hop
       ({!drive} allocates nothing on the warm path);
     - mutations (rule reinstall, weight change, fail / revive / reattach)
@@ -63,6 +65,11 @@ val create : ?seed:int -> ?flow_store:flow_store -> unit -> t
 (** {2 Building the plane} *)
 
 val add_site : t -> string -> int
+(** Sites, forwarders, edges and instances share one id counter. Each
+    [add_*] raises [Invalid_argument] once 2^29 ids are taken, so that a
+    packed endpoint ([id lsl 2 lor tag]) fits the flow tables' 4-byte
+    cells. *)
+
 val add_forwarder : t -> site:int -> int
 val add_edge : t -> site:int -> forwarder:int -> int
 
@@ -142,9 +149,11 @@ val install_rule :
   (endpoint * float) list ->
   unit
 (** Replace the weighted rule for one (chain, egress, stage) at a
-    forwarder. Targets must be [Vnf_instance], [Forwarder], or [Edge].
-    Installing a new rule leaves existing flow-table entries untouched, so
-    established connections keep their path (Section 5.3). *)
+    forwarder. Targets must be [Vnf_instance], [Forwarder], or [Edge];
+    a target id outside [\[0, 2^29)] names no entity and raises
+    [Invalid_argument]. Installing a new rule leaves existing flow-table
+    entries untouched, so established connections keep their path
+    (Section 5.3). *)
 
 val install_rx_rule :
   t ->
@@ -198,7 +207,9 @@ val apply_delta : t -> forwarder:int -> rule_patch list -> int
     call would, so the compiled rollout and a full reinstall are
     indistinguishable to the arena. A patch with an empty target list
     retracts the rule ({!rule}/{!rx_rule} return [None] again; forwarding
-    treats an empty rule and a missing one alike). *)
+    treats an empty rule and a missing one alike). Target ids are checked
+    as in {!install_rule}; the patches before a rejected one stay
+    applied. *)
 
 val flow_table_size : t -> forwarder:int -> int
 
@@ -301,11 +312,13 @@ val instance_flow_count : t -> int -> int
     table capacities), off the packet path. *)
 
 val set_clock : t -> int -> unit
-(** Set the logical clock (any monotone integer — scenario drivers use
-    the workload tick). Every packet stamps the clock onto the flow-table
-    cells it touches (insert and hit, forward and reverse); the stamp is
-    what {!expire_flows} ages against. Never consulted on the packet
-    path's control flow, so traces and RNG draws are unchanged. *)
+(** Set the logical clock (a monotone integer in [\[0, 2^31)] — scenario
+    drivers use the workload tick). Every packet stamps the clock onto the
+    flow-table cells it touches (insert and hit, forward and reverse); the
+    stamp is what {!expire_flows} ages against. Never consulted on the
+    packet path's control flow, so traces and RNG draws are unchanged.
+    The stamp is a 4-byte cell, so a clock outside [\[0, 2^31)] raises
+    [Invalid_argument] and leaves the clock as it was. *)
 
 val clock : t -> int
 

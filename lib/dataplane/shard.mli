@@ -211,7 +211,9 @@ val end_flow : t -> Packet.five_tuple -> unit
 
 val set_clock : t -> int -> unit
 (** Mirrored {!Plane.set_clock}: the logical timestamp packets stamp onto
-    the flow-table entries they touch. *)
+    the flow-table entries they touch. The same range contract: a clock
+    outside [\[0, 2^31)] raises [Invalid_argument] before any lane
+    changes. *)
 
 val clock : t -> int
 

@@ -125,9 +125,13 @@ let path_network_cost t ~src ~dst ~extra =
       (Array.unsafe_get loads e +. (extra *. Array.unsafe_get fracs i))
       /. Array.unsafe_get bandwidth e
     in
-    (* [after >= 0.]: loads and fracs are non-negative (up to remove_flow
-       residue, which callers never combine with a cost query mid-flight)
-       and [extra >= 0.]. *)
+    (* Clamped at 0. like [update_cost]: a lift-out ([remove_flow]) can
+       leave a ~1e-16 negative load residue, and without the clamp adding
+       a small flow onto it would cost less than nothing. With it, and
+       [extra >= 0.], each term is [cost after - cost now >= 0.] (the
+       convex cost and float rounding are monotone), so the sum is too:
+       the bound [Dp_routing]'s prune relies on. *)
+    let after = if after > 0. then after else 0. in
     a.acc <- a.acc +. (convex_cost after -. Array.unsafe_get cost_now e)
   done;
   a.acc

@@ -43,7 +43,9 @@ val path_network_cost : t -> src:int -> dst:int -> extra:float -> float
 (** Fortz–Thorup cost of sending [extra] more volume from [src] to [dst]:
     the increase in the summed piecewise-linear link costs, weighted by each
     link's carried fraction (paper Section 4.4). Iterates the packed ECMP
-    arrays directly — no allocation. *)
+    arrays directly — no allocation. Never negative for [extra >= 0.]: a
+    link's load after the addition is clamped at 0., so the tiny negative
+    residue {!remove_flow} can leave costs nothing rather than less. *)
 
 val path_network_cost_pair :
   t -> src:int -> dst:int -> fwd:float -> rev:float -> float

@@ -101,6 +101,40 @@ let hottest_duplex m routing =
     links;
   snd !best
 
+(* Every stage's flows in insertion order, fractions as bits. *)
+let routing_bits m r =
+  List.init (Model.num_chains m) (fun chain ->
+      List.init (Model.num_stages m chain) (fun stage ->
+          let acc = ref [] in
+          Routing.iter_stage r ~chain ~stage (fun src dst frac ->
+              acc := (src, dst, Int64.bits_of_float frac) :: !acc);
+          List.rev !acc))
+
+(* qcheck: [resolve]'s delay-lower-bound prune is exact. Its scan lifts
+   every chain out of the load, which leaves ~1e-16 negative residues on
+   links, and its re-route runs on those states; the pruned sweep must
+   still give the full sweep's routing bit for bit, and the same stats.
+   Random backbones, demand shifts and link failures, at the default
+   hysteresis and at 0 (every chain with any gain moves). *)
+let prop_resolve_prune_exact =
+  QCheck.Test.make ~name:"pruned resolve = unpruned resolve, bit for bit" ~count:40
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Sb_util.Rng.create seed in
+      let m = small_model ~seed ~chains:(6 + Sb_util.Rng.int rng 10) () in
+      let prev = Dp.solve m in
+      let m' =
+        Model.with_chain_traffic_factors m
+          (Array.init (Model.num_chains m) (fun _ -> 0.25 +. Sb_util.Rng.float rng 2.75))
+      in
+      let m' = if Sb_util.Rng.bool rng then Model.with_failed_links m' (hottest_duplex m prev) else m' in
+      List.for_all
+        (fun (util_weight, hysteresis) ->
+          let r1, s1 = Dp.resolve ~util_weight ~hysteresis ~prev m' in
+          let r2, s2 = Dp.resolve_unpruned ~util_weight ~hysteresis ~prev m' in
+          s1 = s2 && routing_bits m' r1 = routing_bits m' r2)
+        [ (Dp.default_util_weight, 0.1); (Dp.default_util_weight, 0.); (1., 0.) ])
+
 let test_resolve_reacts_to_link_failure () =
   let m = small_model () in
   let prev = Dp.solve m in
@@ -734,6 +768,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_resolve_deterministic;
           Alcotest.test_case "reacts to link failure" `Quick
             test_resolve_reacts_to_link_failure;
+          QCheck_alcotest.to_alcotest prop_resolve_prune_exact;
         ] );
       ( "telemetry",
         [

@@ -582,6 +582,91 @@ let test_replicated_zero_rejected () =
   Alcotest.check_raises "Shard.create" (Invalid_argument msg) (fun () ->
       ignore (Sb_dataplane.Shard.create ~flow_store:(Plane.Replicated 0) ()))
 
+(* A one-forwarder plane with one single-stage chain (ingress -> egress
+   at the same forwarder), for the flow-table layout tests below. *)
+let one_forwarder_plane () =
+  let fab = Plane.create ~seed:7 () in
+  let sa = Plane.add_site fab "A" in
+  let fa = Plane.add_forwarder fab ~site:sa in
+  let ein = Plane.add_edge fab ~site:sa ~forwarder:fa in
+  let eout = Plane.add_edge fab ~site:sa ~forwarder:fa in
+  Plane.install_rule fab ~forwarder:fa ~chain_label:1 ~egress_label:0 ~stage:0
+    [ (Plane.Edge eout, 1.0) ];
+  (fab, fa, ein)
+
+let distinct_tuple i =
+  { Packet.src_ip = i; dst_ip = 7; proto = 6; src_port = 1024 + (i land 0xFFFF); dst_port = 80 }
+
+(* Machine-independent footprint of the flow tables: the words reachable
+   from a one-forwarder plane holding 100,000 connections (a 262,144-cell
+   table and its heads map). The packed layout stores a cell in 32 B and
+   a heads slot in 12 B, against 48 B and 16 B as six [int array]s and
+   two more: 1,443,323 words here, against 2,098,827 for that layout. The
+   pin allows 10 % over the packed count. *)
+let test_flow_table_footprint () =
+  let fab, fa, ein = one_forwarder_plane () in
+  for i = 0 to 99_999 do
+    if not (Plane.drive fab ~ingress:ein ~chain_label:1 ~egress_label:0 ~size:64 (distinct_tuple i))
+    then Alcotest.fail "flow not delivered"
+  done;
+  Alcotest.(check int) "one cell per flow" 100_000 (Plane.flow_table_size fab ~forwarder:fa);
+  let words = Obj.reachable_words (Obj.repr fab) in
+  if words > 1_443_323 * 11 / 10 then
+    Alcotest.failf "plane reaches %d words, over 1.1 x the pinned 1,443,323" words
+
+(* The clock is stamped into 4-byte cells, so [set_clock] takes only
+   [0, 2^31): outside it raises and leaves the clock as it was. Both ends
+   of the range stamp and expire exactly. *)
+let test_clock_range () =
+  let fab, fa, ein = one_forwarder_plane () in
+  let msg = Invalid_argument "Plane.set_clock: clock outside [0, 2^31)" in
+  let top = (1 lsl 31) - 1 in
+  Alcotest.check_raises "negative" msg (fun () -> Plane.set_clock fab (-1));
+  Alcotest.check_raises "2^31" msg (fun () -> Plane.set_clock fab (1 lsl 31));
+  Alcotest.check_raises "max_int" msg (fun () -> Plane.set_clock fab max_int);
+  Alcotest.check_raises "min_int" msg (fun () -> Plane.set_clock fab min_int);
+  Alcotest.(check int) "clock unchanged" 0 (Plane.clock fab);
+  let drive i =
+    ignore (Plane.drive fab ~ingress:ein ~chain_label:1 ~egress_label:0 ~size:64 (distinct_tuple i))
+  in
+  drive 0;
+  Plane.set_clock fab top;
+  drive 1;
+  Alcotest.(check int) "clock at the top" top (Plane.clock fab);
+  Alcotest.(check int) "idle since 0" 1 (Plane.expire_flows fab ~idle_before:1);
+  Alcotest.(check int) "fresh at 2^31 - 1" 0 (Plane.expire_flows fab ~idle_before:top);
+  Alcotest.(check int) "idle before 2^31" 1 (Plane.expire_flows fab ~idle_before:(top + 1));
+  Alcotest.(check int) "table empty" 0 (Plane.flow_table_size fab ~forwarder:fa);
+  let shard = Sb_dataplane.Shard.create ~lanes:1 () in
+  Alcotest.check_raises "Shard.set_clock" msg (fun () ->
+      Sb_dataplane.Shard.set_clock shard (1 lsl 31));
+  Sb_dataplane.Shard.shutdown shard
+
+(* A rule target is stored in a 4-byte cell once a packet takes it, so
+   ids outside [0, 2^29) are rejected when the rule is installed. *)
+let test_rule_target_range () =
+  let fab, fa, _ = one_forwarder_plane () in
+  let msg = Invalid_argument "Plane: rule target id out of range" in
+  let install e () =
+    Plane.install_rule fab ~forwarder:fa ~chain_label:2 ~egress_label:0 ~stage:0 [ (e, 1.0) ]
+  in
+  Alcotest.check_raises "edge 2^29" msg (install (Plane.Edge (1 lsl 29)));
+  Alcotest.check_raises "instance -1" msg (install (Plane.Vnf_instance (-1)));
+  Alcotest.check_raises "delta" msg (fun () ->
+      ignore
+        (Plane.apply_delta fab ~forwarder:fa
+           [
+             {
+               Plane.rp_chain = 2;
+               rp_egress = 0;
+               rp_stage = 0;
+               rp_rx = false;
+               rp_targets = [ (Plane.Forwarder (1 lsl 29), 1.0) ];
+             };
+           ]));
+  Alcotest.(check bool) "nothing installed" true
+    (Plane.rule fab ~forwarder:fa ~chain_label:2 ~egress_label:0 ~stage:0 = None)
+
 let test_replicated_mode_basic_safety () =
   (* The standard 2-site testbed invariants hold under the DHT store too. *)
   let fab = Plane.create ~seed:7 ~flow_store:(Plane.Replicated 2) () in
@@ -1803,6 +1888,9 @@ let () =
           Alcotest.test_case "forwarder-down error" `Quick test_forwarder_down_error;
           Alcotest.test_case "replicated-mode safety" `Quick test_replicated_mode_basic_safety;
           Alcotest.test_case "replication 0 rejected" `Quick test_replicated_zero_rejected;
+          Alcotest.test_case "flow-table footprint" `Quick test_flow_table_footprint;
+          Alcotest.test_case "clock range" `Quick test_clock_range;
+          Alcotest.test_case "rule target range" `Quick test_rule_target_range;
         ] );
       ( "traffic_gen",
         [

@@ -453,6 +453,24 @@ let test_path_network_cost_positive () =
   Alcotest.(check bool) "cost grows with load (convexity)" true (c2 > c1);
   Alcotest.(check bool) "cost positive" true (c1 > 0.)
 
+(* Lifting a flow out can leave a load a hair below zero (0.3 - 0.1 - 0.2
+   is -2.8e-17). Adding nothing, or next to nothing, onto such a link must
+   cost nothing rather than less: SB-DP's prune relies on [net >= 0]. *)
+let test_path_network_cost_residue () =
+  let t = line3 () in
+  let p = Paths.compute t in
+  let load = Load.create t p in
+  Load.add_flow load ~src:0 ~dst:2 ~volume:0.3;
+  Load.remove_flow load ~src:0 ~dst:2 ~volume:0.1;
+  Load.remove_flow load ~src:0 ~dst:2 ~volume:0.2;
+  Alcotest.(check bool) "negative residue left" true
+    (Array.exists (fun (l : Topology.link) -> Load.link_load load l.Topology.id < 0.) (Topology.links t));
+  List.iter
+    (fun extra ->
+      let c = Load.path_network_cost load ~src:0 ~dst:2 ~extra in
+      if c < 0. then Alcotest.failf "cost %g of adding %g is negative" c extra)
+    [ 0.; 1e-20; 1e-17 ]
+
 let test_path_max_utilization () =
   let t = line3 () in
   let p = Paths.compute t in
@@ -556,6 +574,7 @@ let () =
           Alcotest.test_case "background" `Quick test_load_background;
           Alcotest.test_case "self flow noop" `Quick test_load_self_flow_noop;
           Alcotest.test_case "network cost convex" `Quick test_path_network_cost_positive;
+          Alcotest.test_case "network cost on a residue" `Quick test_path_network_cost_residue;
           Alcotest.test_case "path max utilization" `Quick test_path_max_utilization;
         ] );
       ("properties", [ QCheck_alcotest.to_alcotest prop_fractions_sum_per_node ]);
