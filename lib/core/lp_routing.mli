@@ -4,7 +4,10 @@
     paper's constraints — per-chain source emission, flow conservation at
     every VNF element (Eq. 5), site compute capacity (Eq. 4), per-VNF
     per-site capacity, and the maximum-link-utilization network-cost bound
-    (Eq. 6) — and solves it exactly with the [sb_lp] simplex.
+    (Eq. 6) — and solves it exactly with the [sb_lp] simplex. The model is
+    written column by column straight from {!Instance}'s arrays into the
+    simplex's column form ({!Sb_lp.Lp.columns}), without the list
+    modelling layer.
 
     Two objectives, matching the two uses in the evaluation:
     - {!Min_latency} minimizes the traffic-weighted aggregate latency
@@ -37,3 +40,11 @@ val solve : ?cloud_budget:float -> Model.t -> objective -> (result, string) Resu
     {!Max_throughput} only, turns site capacities into variables
     [m_s + a_s] with [sum a_s <= budget] — the cloud capacity-planning LP
     of Section 4.3. *)
+
+val columns : ?cloud_budget:float -> Model.t -> objective -> Sb_lp.Lp.columns
+(** The LP that [solve] hands to {!Sb_lp.Lp.solve_columns}. Columns: one
+    [x] per (global stage, source, destination) pair, stage by stage in
+    candidate order; then alpha ({!Max_throughput}); then one [a_s] per
+    site ([cloud_budget]). Rows: the budget row; each chain's ingress
+    rows, then its egress rows; the flow-conservation rows; the site-load,
+    VNF-site-load and link rows that some [x] touches. *)

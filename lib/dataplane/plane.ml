@@ -1231,7 +1231,9 @@ let forward_core t ~record ~ingress ~chain_label ~egress_label ~size flow =
         else begin
           if record then t.last_trace <- Forwarder !fwd :: t.last_trace;
           let side = if !from land 3 = tag_fwd then 1 else 0 in
-          let ces = ces_intern t.ces chain_label egress_label !stage in
+          (* -1 when no rule was ever installed for the triple: the
+             packet fails as [No_rule] and leaves the table as it was. *)
+          let ces = ces_find t.ces chain_label egress_label !stage in
           let h =
             match t.dht with
             | None -> key_hash base !stage
@@ -1259,7 +1261,8 @@ let forward_core t ~record ~ingress ~chain_label ~egress_label ~size flow =
                peer forwarder is mid-relay — prefer a non-empty
                receiver-side rule (local delivery). *)
             let slot =
-              if side = 1 then begin
+              if ces < 0 then -1
+              else if side = 1 then begin
                 let rs = slot_of t.rx.(fd) ces in
                 if rs >= 0 && t.arena.s_len.(rs) > 0 then rs else slot_of t.tx.(fd) ces
               end
@@ -1288,7 +1291,7 @@ let forward_core t ~record ~ingress ~chain_label ~egress_label ~size flow =
             (* Measurement (Section 4.1): count a packet once per stage,
                at the forwarder that delivers it into the stage's
                destination element. *)
-            if tag = tag_edge || tag = tag_inst then bump t fd ces size;
+            if ces >= 0 && (tag = tag_edge || tag = tag_inst) then bump t fd ces size;
             if tag = tag_edge then begin
               t.err_a <- !next lsr 2;
               if record then t.last_trace <- Edge (!next lsr 2) :: t.last_trace;

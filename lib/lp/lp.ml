@@ -6,7 +6,7 @@ type sense = Minimize | Maximize
 
 (* Rows are packed as they are added: row i's terms are
    [term_var]/[term_coef] over [row_start.(i)] .. [row_start.(i+1) - 1],
-   repeated variables included (the solver sums them). *)
+   repeated variables included ([to_columns] sums them). *)
 type problem = {
   mutable vars : var list; (* reverse order of creation *)
   mutable nvars : int;
@@ -18,7 +18,6 @@ type problem = {
   mutable term_coef : float array;
   mutable obj_sense : sense;
   mutable obj : expr;
-  tightened : (var * float * float) list; (* bounds added by clone_with_bounds *)
 }
 
 let create ?name:_ () =
@@ -33,7 +32,6 @@ let create ?name:_ () =
     term_coef = Array.make 64 0.;
     obj_sense = Minimize;
     obj = [];
-    tightened = [];
   }
 
 let add_var p ?(lb = 0.) ?(ub = infinity) ?(integer = false) vname =
@@ -47,6 +45,7 @@ let add_var p ?(lb = 0.) ?(ub = infinity) ?(integer = false) vname =
   v
 
 let var_name v = v.vname
+let var_index v = v.id
 let var_is_integer _p v = v.integer
 let all_vars p = List.rev p.vars
 
@@ -97,17 +96,80 @@ let num_vars p = p.nvars
 let num_constraints p = p.nrows
 let objective_sense p = p.obj_sense
 
-(* The clone owns copies of the row arrays, so rows added later to either
-   problem stay private to it. *)
-let clone_with_bounds p extra =
+type columns = {
+  ncols : int;
+  nrows : int;
+  cstart : int array;
+  cidx : int array;
+  cval : float array;
+  lb : float array;
+  ub : float array;
+  rel : relation array;
+  rhs : float array;
+  sense : sense;
+  cost : float array;
+}
+
+(* The rows' terms scattered to their columns. Rows are visited in order,
+   so each column's rows arrive ascending, and a variable repeated within
+   a row lands next to its earlier term and is summed into it, in the
+   order the terms were added. Repeats leave gaps, closed at the end. *)
+let to_columns p =
+  let n = p.nvars and m = p.nrows in
+  let cstart = Array.make (n + 1) 0 in
+  for t = 0 to p.row_start.(m) - 1 do
+    let j = p.term_var.(t) in
+    cstart.(j + 1) <- cstart.(j + 1) + 1
+  done;
+  for j = 0 to n - 1 do
+    cstart.(j + 1) <- cstart.(j + 1) + cstart.(j)
+  done;
+  let cap = cstart.(n) in
+  let cidx = Array.make cap 0 and cval = Array.make cap 0. in
+  let fill = Array.sub cstart 0 n in
+  for i = 0 to m - 1 do
+    for t = p.row_start.(i) to p.row_start.(i + 1) - 1 do
+      let j = p.term_var.(t) and coef = p.term_coef.(t) in
+      let k = fill.(j) in
+      if k > cstart.(j) && cidx.(k - 1) = i then cval.(k - 1) <- cval.(k - 1) +. coef
+      else begin
+        cidx.(k) <- i;
+        cval.(k) <- coef;
+        fill.(j) <- k + 1
+      end
+    done
+  done;
+  let nnz = ref 0 in
+  for j = 0 to n - 1 do
+    let from = cstart.(j) in
+    cstart.(j) <- !nnz;
+    for t = from to fill.(j) - 1 do
+      cidx.(!nnz) <- cidx.(t);
+      cval.(!nnz) <- cval.(t);
+      incr nnz
+    done
+  done;
+  cstart.(n) <- !nnz;
+  let lb = Array.make n 0. and ub = Array.make n 0. in
+  List.iter
+    (fun v ->
+      lb.(v.id) <- v.lb;
+      ub.(v.id) <- v.ub)
+    p.vars;
+  let cost = Array.make n 0. in
+  List.iter (fun (coef, v) -> cost.(v.id) <- cost.(v.id) +. coef) p.obj;
   {
-    p with
-    row_start = Array.copy p.row_start;
-    row_rel = Array.copy p.row_rel;
-    row_rhs = Array.copy p.row_rhs;
-    term_var = Array.copy p.term_var;
-    term_coef = Array.copy p.term_coef;
-    tightened = extra @ p.tightened;
+    ncols = n;
+    nrows = m;
+    cstart;
+    cidx;
+    cval;
+    lb;
+    ub;
+    rel = Array.sub p.row_rel 0 m;
+    rhs = Array.sub p.row_rhs 0 m;
+    sense = p.obj_sense;
+    cost;
   }
 
 type solution = {
@@ -120,6 +182,7 @@ type solution = {
 type outcome = Optimal of solution | Infeasible | Unbounded
 
 let value sol v = sol.values.(v.id)
+let column_value sol j = sol.values.(j)
 let objective_value sol = sol.obj_value
 let iterations sol = sol.iterations
 let refactorizations sol = sol.refactorizations
@@ -947,8 +1010,8 @@ let refactor st =
    with its zero right-hand sides the crashed basis is still feasible. The
    new column may touch no row crashed before it, so the basis stays
    triangular and nonsingular; among a row's candidates the sparsest
-   column wins, first index on ties. If the crashed basis is infeasible,
-   phase 1 repairs it. *)
+   column wins, first index on ties (a row lists its columns ascending).
+   If the crashed basis is infeasible, phase 1 repairs it. *)
 let crash st =
   let n = st.n and crashed = Array.make st.m false in
   for i = 0 to st.m - 1 do
@@ -1002,42 +1065,45 @@ let choose_entering st ~bland =
    with Exit -> ());
   !best
 
-let solve p =
-  let vars = Array.of_list (all_vars p) in
-  let n = Array.length vars in
-  let m = p.nrows in
+(* The column form's shape and data, checked once per solve: the simplex
+   indexes its arrays without bounds checks. *)
+let check_columns c =
+  let fail what = invalid_arg ("Lp.solve_columns: " ^ what) in
+  let n = c.ncols and m = c.nrows in
+  if n < 0 || m < 0 then fail "negative size";
+  if Array.length c.cstart <> n + 1 || c.cstart.(0) <> 0 then fail "cstart";
+  if Array.length c.lb <> n || Array.length c.ub <> n || Array.length c.cost <> n then
+    fail "column arrays";
+  if Array.length c.rel <> m || Array.length c.rhs <> m then fail "row arrays";
+  let nnz = c.cstart.(n) in
+  if nnz > Array.length c.cidx || nnz > Array.length c.cval then fail "cidx/cval too short";
+  for j = 0 to n - 1 do
+    let lo = c.lb.(j) and up = c.ub.(j) in
+    if Float.is_nan lo || Float.is_nan up || lo = infinity || up = neg_infinity then
+      fail "bad bound";
+    if not (Float.is_finite c.cost.(j)) then fail "non-finite cost";
+    if c.cstart.(j + 1) < c.cstart.(j) then fail "cstart";
+    let last = ref (-1) in
+    for t = c.cstart.(j) to c.cstart.(j + 1) - 1 do
+      let i = c.cidx.(t) in
+      if i <= !last || i >= m then fail "rows not ascending or out of range";
+      if not (Float.is_finite c.cval.(t)) then fail "non-finite coefficient";
+      last := i
+    done
+  done;
+  Array.iter (fun b -> if Float.is_nan b then fail "NaN right-hand side") c.rhs
+
+let solve_columns c =
+  check_columns c;
+  let n = c.ncols and m = c.nrows in
+  let cstart = c.cstart and cidx = c.cidx and cval = c.cval in
   let lo = Array.make (n + m) 0. and up = Array.make (n + m) 0. in
-  Array.iter
-    (fun v ->
-      lo.(v.id) <- v.lb;
-      up.(v.id) <- v.ub)
-    vars;
-  List.iter
-    (fun (v, l, u) ->
-      lo.(v.id) <- Float.max lo.(v.id) l;
-      up.(v.id) <- Float.min up.(v.id) u)
-    p.tightened;
-  (* Rows by CSR, duplicates summed in place. *)
-  let cap = p.row_start.(m) in
-  let rstart = Array.make (m + 1) 0 and ridx = Array.make cap 0 and rval = Array.make cap 0. in
-  let mark = Array.make n (-1) and slot = Array.make n 0 in
-  let k = ref 0 in
+  Array.blit c.lb 0 lo 0 n;
+  Array.blit c.ub 0 up 0 n;
   let contradictory = ref false in
   for i = 0 to m - 1 do
-    for t = p.row_start.(i) to p.row_start.(i + 1) - 1 do
-      let j = p.term_var.(t) and coef = p.term_coef.(t) in
-      if mark.(j) = i then rval.(slot.(j)) <- rval.(slot.(j)) +. coef
-      else begin
-        mark.(j) <- i;
-        slot.(j) <- !k;
-        ridx.(!k) <- j;
-        rval.(!k) <- coef;
-        incr k
-      end
-    done;
-    rstart.(i + 1) <- !k;
-    let b = p.row_rhs.(i) in
-    (match p.row_rel.(i) with
+    let b = c.rhs.(i) in
+    (match c.rel.(i) with
     | Le ->
       lo.(n + i) <- -.b;
       up.(n + i) <- infinity
@@ -1056,28 +1122,31 @@ let solve p =
   done;
   if !infeasible_bounds then Infeasible
   else begin
-    let nnz = !k in
-    (* Columns by CSC. *)
-    let cstart = Array.make (n + 1) 0 in
+    (* Rows by CSR, one transpose of the columns: each row lists its
+       columns ascending. *)
+    let nnz = cstart.(n) in
+    let rstart = Array.make (m + 1) 0 in
     for t = 0 to nnz - 1 do
-      cstart.(ridx.(t) + 1) <- cstart.(ridx.(t) + 1) + 1
+      rstart.(cidx.(t) + 1) <- rstart.(cidx.(t) + 1) + 1
     done;
-    for j = 0 to n - 1 do
-      cstart.(j + 1) <- cstart.(j + 1) + cstart.(j)
-    done;
-    let cidx = Array.make nnz 0 and cval = Array.make nnz 0. in
-    let fill = Array.sub cstart 0 n in
     for i = 0 to m - 1 do
-      for t = rstart.(i) to rstart.(i + 1) - 1 do
-        let j = ridx.(t) in
-        cidx.(fill.(j)) <- i;
-        cval.(fill.(j)) <- rval.(t);
-        fill.(j) <- fill.(j) + 1
+      rstart.(i + 1) <- rstart.(i + 1) + rstart.(i)
+    done;
+    let ridx = Array.make nnz 0 and rval = Array.make nnz 0. in
+    let fill = Array.sub rstart 0 m in
+    for j = 0 to n - 1 do
+      for t = cstart.(j) to cstart.(j + 1) - 1 do
+        let i = cidx.(t) in
+        ridx.(fill.(i)) <- j;
+        rval.(fill.(i)) <- cval.(t);
+        fill.(i) <- fill.(i) + 1
       done
     done;
-    let sign = match p.obj_sense with Minimize -> 1. | Maximize -> -1. in
+    let sign = match c.sense with Minimize -> 1. | Maximize -> -1. in
     let cost = Array.make (n + m) 0. in
-    List.iter (fun (coef, v) -> cost.(v.id) <- cost.(v.id) +. (sign *. coef)) p.obj;
+    for j = 0 to n - 1 do
+      if c.cost.(j) <> 0. then cost.(j) <- sign *. c.cost.(j)
+    done;
     let x = Array.make (n + m) 0. in
     for j = 0 to n - 1 do
       x.(j) <- (if lo.(j) > neg_infinity then lo.(j) else if up.(j) < infinity then up.(j) else 0.)
@@ -1303,3 +1372,5 @@ let solve p =
     done;
     Option.get !result
   end
+
+let solve p = solve_columns (to_columns p)

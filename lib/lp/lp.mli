@@ -6,8 +6,16 @@
     sparse bounded revised simplex method. Mixed-integer problems are
     solved by branch-and-bound in {!Mip}.
 
-    The solver stores the constraint matrix by columns and by rows and
-    keeps the basis as a sparse LU factorization (Markowitz pivoting)
+    The simplex has one input, the column form ({!columns}): each column's
+    rows ascending, with row relations, right-hand sides, column bounds
+    and an objective vector. {!solve} packs a modelled problem into it
+    ({!to_columns}: the rows' terms scattered to their columns, repeats
+    summed); SB-LP writes it directly. Set-up derives the row form by one
+    transpose, so every row also lists its columns ascending, and
+    allocates the state and factor arrays; the column arrays are read in
+    place.
+
+    The basis is kept as a sparse LU factorization (Markowitz pivoting)
     whose U takes a Forrest-Tomlin update at each basis change: the
     leaving column drops out of U, the entering column's spike (its FTRAN
     through L and the earlier updates) becomes U's last column, and one
@@ -26,9 +34,9 @@
 
     It is exact, dependency-free and fast on the instance sizes of the
     reproduction (SB-LP on the 25-site backbone with 12 chains: ~950 rows,
-    ~7,700 columns, ~68 k nonzeros, solved in about 20 ms with two or
-    three factorizations), but it is not a CPLEX-scale solver: it has no
-    devex pricing, presolve or warm start, and the 200-chain
+    ~7,700 columns, ~68 k nonzeros, built and solved in about 17 ms with
+    two or three factorizations), but it is not a CPLEX-scale solver: it
+    has no devex pricing, presolve or warm start, and the 200-chain
     [bench scale] LP (~13,600 rows, ~13 k iterations) takes about 10 s. *)
 
 type problem
@@ -98,13 +106,54 @@ val refactorizations : solution -> int
 
 val pp_outcome : Format.formatter -> outcome -> unit
 
+(** {2 Column form}
+
+    The one input of the simplex. {!solve} packs a modelled problem into
+    it with {!to_columns}; a generator that knows its matrix column by
+    column (SB-LP in [Lp_routing]) fills it directly and skips the
+    modelling layer. *)
+
+type columns = {
+  ncols : int;
+  nrows : int;
+  cstart : int array;
+      (** [ncols + 1] offsets: column [j]'s entries are [cidx]/[cval] over
+          [cstart.(j)] .. [cstart.(j+1) - 1]. *)
+  cidx : int array;
+      (** Rows of each column, strictly ascending (no repeats). [cidx] and
+          [cval] may be longer than [cstart.(ncols)]; the tail is unread. *)
+  cval : float array;  (** Finite coefficients; explicit zeros are kept. *)
+  lb : float array;  (** [ncols] column bounds, as {!add_var} takes them. *)
+  ub : float array;
+  rel : relation array;  (** [nrows] row relations. *)
+  rhs : float array;  (** [nrows] right-hand sides, as {!add_constraint} takes them. *)
+  sense : sense;
+  cost : float array;  (** [ncols] objective coefficients, in [sense]. *)
+}
+
+val solve_columns : columns -> outcome
+(** Solve the LP given by columns, as {!solve} does: the simplex derives
+    the row form with one transpose and reads the arrays in place,
+    without copying or retaining them. A column with [lb > ub] makes the
+    problem [Infeasible]. Raises [Invalid_argument] if the arrays do not
+    have the shape above, a column's rows are not strictly ascending or
+    out of range, or a bound, coefficient or right-hand side is one that
+    {!add_var}, {!add_constraint} or {!set_objective} would reject. *)
+
+val to_columns : problem -> columns
+(** [p] in column form, column [j] being the variable created [j]-th.
+    A variable repeated within a row or the objective is summed in the
+    order its terms were added. [solve p] is [solve_columns (to_columns p)]. *)
+
+val column_value : solution -> int -> float
+(** [column_value sol j] is the value of column [j]; for a problem built
+    with the modelling API, [value sol v = column_value sol (var_index v)]. *)
+
+val var_index : var -> int
+(** The column of [v] in {!to_columns}: its creation order, from 0. *)
+
 (**/**)
 
 (* Internal accessors used by Mip. *)
 val var_is_integer : problem -> var -> bool
 val all_vars : problem -> var list
-val clone_with_bounds : problem -> (var * float * float) list -> problem
-(* [clone_with_bounds p extra] copies [p], tightening each [v] to
-   lb <= v <= ub for each [(v, lb, ub)] (bounds intersect; an empty
-   intersection makes the clone infeasible). Variables are shared between
-   the clone and the original, so [value] lookups use the original vars. *)

@@ -5,6 +5,9 @@ type result =
   | Node_limit of Lp.solution option
 
 let solve ?(max_nodes = 10_000) ?(int_tol = 1e-6) problem =
+  (* The column form is built once; a node differs from the root only in
+     its column bounds. *)
+  let cols = Lp.to_columns problem in
   let int_vars = List.filter (Lp.var_is_integer problem) (Lp.all_vars problem) in
   let maximizing = Lp.objective_sense problem = Lp.Maximize in
   (* Compare incumbents in minimization terms regardless of sense. *)
@@ -32,14 +35,15 @@ let solve ?(max_nodes = 10_000) ?(int_tol = 1e-6) problem =
   let nodes = ref 0 in
   let truncated = ref false in
   let unbounded_root = ref false in
-  let rec branch bounds =
+  (* [lb]/[ub]: the node's column bounds, the root's tightened by every
+     branching decision above it. *)
+  let rec branch ~root lb ub =
     if !nodes >= max_nodes then truncated := true
     else begin
       incr nodes;
-      let sub = Lp.clone_with_bounds problem bounds in
-      match Lp.solve sub with
+      match Lp.solve_columns { cols with lb; ub } with
       | Lp.Infeasible -> ()
-      | Lp.Unbounded -> if bounds = [] then unbounded_root := true
+      | Lp.Unbounded -> if root then unbounded_root := true
       | Lp.Optimal sol ->
         let k = key sol in
         (* The relaxation bound prunes: a node whose relaxation is no better
@@ -48,13 +52,17 @@ let solve ?(max_nodes = 10_000) ?(int_tol = 1e-6) problem =
           match fractional sol with
           | None -> incumbent := Some (k, sol)
           | Some (v, _) ->
-            let x = Lp.value sol v in
-            branch ((v, neg_infinity, Float.floor x) :: bounds);
-            branch ((v, Float.ceil x, infinity) :: bounds)
+            let x = Lp.value sol v and j = Lp.var_index v in
+            let down = Array.copy ub in
+            down.(j) <- Float.min ub.(j) (Float.floor x);
+            branch ~root:false lb down;
+            let up = Array.copy lb in
+            up.(j) <- Float.max lb.(j) (Float.ceil x);
+            branch ~root:false up ub
         end
     end
   in
-  branch [];
+  branch ~root:true cols.Lp.lb cols.Lp.ub;
   if !unbounded_root then Unbounded
   else
     match (!incumbent, !truncated) with

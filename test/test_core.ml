@@ -561,10 +561,10 @@ let test_lp_background_reduces_throughput () =
 (* SB-LP at benchmark scale: the first epoch of the repository
    benchmark's te_lp workload (the 25-site backbone, 12 chains, scenario
    seed 7, diurnal demand over 6 epochs; see benchmark/te.ml). *)
-let benchmark_epoch0 () =
+let benchmark_epoch0 ?(chains = 12) () =
   let module Sc = Sb_adapt.Scenario in
   let module W = Sb_net.Workload in
-  let chains = 12 and epochs = 6 and seed = 7 in
+  let epochs = 6 and seed = 7 in
   let model = Sc.backbone25 { Sc.default_config with seed; num_chains = chains } in
   let w = W.diurnal ~seed ~ticks:epochs ~keys:chains ~period:epochs () in
   Model.with_chain_traffic_factors model (Array.init chains (fun k -> W.demand w ~tick:0 ~key:k))
@@ -599,6 +599,56 @@ let test_lp_benchmark_work () =
     Alcotest.(check bool)
       (Printf.sprintf "%d refactorizations <= 3" refactorizations)
       true (refactorizations <= 3)
+
+(* The column builder writes the very LP the list-built reference
+   (test/sblp_oracle.ml) packs: the same columns, entries, row relations,
+   right-hand sides, bounds and objective, bit for bit, and so the same
+   solve, on te_lp's epoch 0 at 4, 12 and 20 chains and for each
+   objective. *)
+let test_lp_columns_match_oracle () =
+  let module Lp = Sb_lp.Lp in
+  let bits a = Array.map Int64.bits_of_float a in
+  let prefix a n = Array.sub a 0 n in
+  List.iter
+    (fun chains ->
+      let model = benchmark_epoch0 ~chains () in
+      let budget =
+        0.25 *. List.fold_left ( +. ) 0. (List.init (Model.num_sites model) (Model.site_capacity model))
+      in
+      List.iter
+        (fun (name, cloud_budget, objective) ->
+          let what s = Printf.sprintf "%d chains, %s: %s" chains name s in
+          let b = Lpr.columns ?cloud_budget model objective in
+          let o = Lp.to_columns (Sblp_oracle.problem ?cloud_budget model objective) in
+          let nnz = o.Lp.cstart.(o.Lp.ncols) in
+          Alcotest.(check int) (what "columns") o.Lp.ncols b.Lp.ncols;
+          Alcotest.(check int) (what "rows") o.Lp.nrows b.Lp.nrows;
+          Alcotest.(check (array int)) (what "cstart") o.Lp.cstart b.Lp.cstart;
+          Alcotest.(check (array int)) (what "cidx") (prefix o.Lp.cidx nnz) (prefix b.Lp.cidx nnz);
+          Alcotest.(check (array int64)) (what "cval")
+            (bits (prefix o.Lp.cval nnz))
+            (bits (prefix b.Lp.cval nnz));
+          Alcotest.(check bool) (what "relations") true (o.Lp.rel = b.Lp.rel);
+          Alcotest.(check (array int64)) (what "rhs") (bits o.Lp.rhs) (bits b.Lp.rhs);
+          Alcotest.(check (array int64)) (what "lb") (bits o.Lp.lb) (bits b.Lp.lb);
+          Alcotest.(check (array int64)) (what "ub") (bits o.Lp.ub) (bits b.Lp.ub);
+          Alcotest.(check (array int64)) (what "cost") (bits o.Lp.cost) (bits b.Lp.cost);
+          Alcotest.(check bool) (what "sense") true (o.Lp.sense = b.Lp.sense);
+          match (Lp.solve_columns o, Lp.solve_columns b) with
+          | Lp.Optimal so, Lp.Optimal sb ->
+            Alcotest.(check int64) (what "objective")
+              (Int64.bits_of_float (Lp.objective_value so))
+              (Int64.bits_of_float (Lp.objective_value sb));
+            Alcotest.(check int) (what "iterations") (Lp.iterations so) (Lp.iterations sb);
+            Alcotest.(check int) (what "refactorizations") (Lp.refactorizations so)
+              (Lp.refactorizations sb)
+          | _ -> Alcotest.fail (what "not optimal"))
+        [
+          ("max-throughput", None, Lpr.Max_throughput);
+          ("min-latency", None, Lpr.Min_latency);
+          ("cloud budget", Some budget, Lpr.Max_throughput);
+        ])
+    [ 4; 12; 20 ]
 
 (* --------------------------- Eval metrics -------------------------- *)
 
@@ -1518,6 +1568,8 @@ let () =
             test_lp_background_reduces_throughput;
           Alcotest.test_case "benchmark-scale objective" `Quick test_lp_benchmark_scale;
           Alcotest.test_case "benchmark-scale work" `Quick test_lp_benchmark_work;
+          Alcotest.test_case "columns match the list-built model" `Quick
+            test_lp_columns_match_oracle;
         ] );
       ( "eval",
         [

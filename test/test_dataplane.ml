@@ -614,6 +614,27 @@ let test_flow_table_footprint () =
   if words > 1_443_323 * 11 / 10 then
     Alcotest.failf "plane reaches %d words, over 1.1 x the pinned 1,443,323" words
 
+(* A packet whose (chain, egress, stage) no rule names fails with
+   [No_rule] and leaves nothing behind: 100,000 distinct unknown chain
+   labels keep the plane within 1.1 x its words before the flood (a
+   packet path that interned every triple it saw grew it from 1,737 to
+   1,312,147 words). *)
+let test_unknown_labels_leave_no_state () =
+  let fab, _, ein = one_forwarder_plane () in
+  let before = Obj.reachable_words (Obj.repr fab) in
+  for i = 0 to 99_999 do
+    match
+      Plane.send_forward fab ~ingress:ein ~chain_label:(1_000 + i) ~egress_label:0 ~size:64
+        (distinct_tuple i)
+    with
+    | Error (Plane.No_rule _) -> ()
+    | Ok _ -> Alcotest.fail "unknown label delivered"
+    | Error e -> Alcotest.failf "unknown label: %a" Plane.pp_error e
+  done;
+  let after = Obj.reachable_words (Obj.repr fab) in
+  if after * 10 > before * 11 then
+    Alcotest.failf "plane grew from %d to %d words on unknown labels" before after
+
 (* The clock is stamped into 4-byte cells, so [set_clock] takes only
    [0, 2^31): outside it raises and leaves the clock as it was. Both ends
    of the range stamp and expire exactly. *)
@@ -1889,6 +1910,8 @@ let () =
           Alcotest.test_case "replicated-mode safety" `Quick test_replicated_mode_basic_safety;
           Alcotest.test_case "replication 0 rejected" `Quick test_replicated_zero_rejected;
           Alcotest.test_case "flow-table footprint" `Quick test_flow_table_footprint;
+          Alcotest.test_case "unknown labels leave no state" `Quick
+            test_unknown_labels_leave_no_state;
           Alcotest.test_case "clock range" `Quick test_clock_range;
           Alcotest.test_case "rule target range" `Quick test_rule_target_range;
         ] );

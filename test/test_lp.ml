@@ -434,6 +434,86 @@ let prop_optimal_is_feasible =
         Array.exists not in_row
       | Lp.Infeasible -> false (* impossible for Le-only with rhs > 0 *))
 
+(* The two ways into the simplex agree: a random small LP whose rows list
+   their terms out of order and repeat some variables, solved through the
+   list API, and the same LP written by hand in column form (each
+   column's rows ascending, repeats summed in the order they were
+   listed) give the same status, objective and iteration count. *)
+let prop_list_api_matches_columns =
+  QCheck.Test.make ~name:"list API = hand-built column form" ~count:300
+    QCheck.(int_range 0 1_000_000)
+    (fun seed ->
+      let rng = Sb_util.Rng.create seed in
+      let n = 1 + Sb_util.Rng.int rng 7 and m = 1 + Sb_util.Rng.int rng 7 in
+      let small () = float_of_int (Sb_util.Rng.int rng 9 - 4) in
+      let p = Lp.create () in
+      let bounds =
+        Array.init n (fun _ ->
+            match Sb_util.Rng.int rng 4 with
+            | 0 -> (neg_infinity, infinity)
+            | 1 -> (-2., 5.)
+            | 2 -> (1., infinity)
+            | _ -> (0., infinity))
+      in
+      let vars = Array.mapi (fun j (lb, ub) -> Lp.add_var p ~lb ~ub (Printf.sprintf "v%d" j)) bounds in
+      (* [a.(i).(j)]: row i's coefficient of column j, if it has one *)
+      let a = Array.make_matrix m n None in
+      let rel = Array.make m Lp.Le and rhs = Array.make m 0. in
+      for i = 0 to m - 1 do
+        let k = Sb_util.Rng.int rng (2 * n + 1) in
+        let terms = List.init k (fun _ -> (small (), Sb_util.Rng.int rng n)) in
+        List.iter
+          (fun (c, j) ->
+            a.(i).(j) <- Some (match a.(i).(j) with None -> c | Some c0 -> c0 +. c))
+          terms;
+        rel.(i) <- (match Sb_util.Rng.int rng 3 with 0 -> Lp.Le | 1 -> Lp.Ge | _ -> Lp.Eq);
+        rhs.(i) <- small () *. 2.;
+        Lp.add_constraint p (List.map (fun (c, j) -> (c, vars.(j))) terms) rel.(i) rhs.(i)
+      done;
+      let cost = Array.make n 0. in
+      let obj = List.init (Sb_util.Rng.int rng (2 * n + 1)) (fun _ -> (small (), Sb_util.Rng.int rng n)) in
+      List.iter (fun (c, j) -> cost.(j) <- cost.(j) +. c) obj;
+      let sense = if Sb_util.Rng.bool rng then Lp.Minimize else Lp.Maximize in
+      Lp.set_objective p sense (List.map (fun (c, j) -> (c, vars.(j))) obj);
+      let cstart = Array.make (n + 1) 0 and cidx = ref [] and cval = ref [] in
+      for j = 0 to n - 1 do
+        cstart.(j + 1) <- cstart.(j);
+        for i = 0 to m - 1 do
+          match a.(i).(j) with
+          | Some c ->
+            cidx := i :: !cidx;
+            cval := c :: !cval;
+            cstart.(j + 1) <- cstart.(j + 1) + 1
+          | None -> ()
+        done
+      done;
+      let cols =
+        {
+          Lp.ncols = n;
+          nrows = m;
+          cstart;
+          cidx = Array.of_list (List.rev !cidx);
+          cval = Array.of_list (List.rev !cval);
+          lb = Array.map fst bounds;
+          ub = Array.map snd bounds;
+          rel;
+          rhs;
+          sense;
+          cost;
+        }
+      in
+      match (Lp.solve p, Lp.solve_columns cols) with
+      | Lp.Optimal s1, Lp.Optimal s2 ->
+        Int64.equal
+          (Int64.bits_of_float (Lp.objective_value s1))
+          (Int64.bits_of_float (Lp.objective_value s2))
+        && Lp.iterations s1 = Lp.iterations s2
+        || QCheck.Test.fail_reportf "objective %.17g vs %.17g, iterations %d vs %d"
+             (Lp.objective_value s1) (Lp.objective_value s2) (Lp.iterations s1)
+             (Lp.iterations s2)
+      | Lp.Infeasible, Lp.Infeasible | Lp.Unbounded, Lp.Unbounded -> true
+      | _ -> QCheck.Test.fail_report "statuses differ")
+
 (* Optimality against the definition: on small random LPs, [Lp.solve]
    agrees with brute-force vertex enumeration. Rows are Le/Ge/Eq with
    small integer data (so degenerate vertices and ties are common) and
@@ -743,6 +823,7 @@ let () =
       ( "properties",
         [
           QCheck_alcotest.to_alcotest prop_optimal_is_feasible;
+          QCheck_alcotest.to_alcotest prop_list_api_matches_columns;
           QCheck_alcotest.to_alcotest prop_matches_vertex_enumeration;
           QCheck_alcotest.to_alcotest prop_strong_duality;
           QCheck_alcotest.to_alcotest prop_mip_at_most_lp;
